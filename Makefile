@@ -141,13 +141,16 @@ bench-compare:
 # input generation on top of its committed seed corpus: the loaders
 # (dataset, hierarchy) must never panic on hostile bytes, the two
 # implementations of Definition 2 must agree on every generated table,
-# and the incremental session must survive hostile delta files with
-# exact live-row accounting.
+# the incremental session must survive hostile delta files with exact
+# live-row accounting, and the CSV reader and writer must match their
+# encoding/csv oracles.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadTable$$' -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadHierarchy$$' -fuzztime $(FUZZTIME) ./internal/hierarchy
 	$(GO) test -run '^$$' -fuzz '^FuzzPolicyEval$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyDelta$$' -fuzztime $(FUZZTIME) ./internal/search
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/table
+	$(GO) test -run '^$$' -fuzz '^FuzzWriteCSV$$' -fuzztime $(FUZZTIME) ./internal/table
 
 # cover measures statement coverage across the module and fails below
 # COVERAGE_FLOOR. The test run writes to a temp profile that is always

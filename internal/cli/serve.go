@@ -15,6 +15,19 @@ import (
 	"psk/internal/serve"
 )
 
+// Connection deadlines of the pskserve HTTP server, so a slow or
+// stalled client cannot hold a connection open: request headers must
+// arrive within serveReadHeaderTimeout, a whole request (headers and a
+// CSV body) within serveReadTimeout, and an idle keep-alive connection
+// is closed after serveIdleTimeout. net/http cancels a request's
+// context when its ReadTimeout passes, so a /debug/pprof profile or
+// trace must be asked for a shorter duration.
+const (
+	serveReadHeaderTimeout = 5 * time.Second
+	serveReadTimeout       = 2 * time.Minute
+	serveIdleTimeout       = 2 * time.Minute
+)
+
 // Serve implements pskserve: run the anonymization service until
 // SIGINT/SIGTERM, then drain. The network-facing behaviour lives in
 // internal/serve; this entry point only parses flags, binds the
@@ -63,7 +76,12 @@ func ServeContext(ctx context.Context, args []string, stdout, stderr io.Writer) 
 	if err != nil {
 		return inputErr(err)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+		ReadTimeout:       serveReadTimeout,
+		IdleTimeout:       serveIdleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	fmt.Fprintf(stderr, "pskserve: listening on http://%s (POST /v1/jobs; /metrics /progress /healthz /debug/pprof)\n",

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -343,4 +346,54 @@ func unmarshalFile(path string, v any) error {
 		return err
 	}
 	return json.Unmarshal(b, v)
+}
+
+// TestServeDropsStalledClient: pskserve disconnects a client that stops
+// halfway through its request headers, without a response, once
+// serveReadHeaderTimeout has passed; a slow client cannot pin a
+// connection.
+func TestServeDropsStalledClient(t *testing.T) {
+	t.Parallel()
+	stderr := newObsAddrWriter()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		done <- ServeContext(ctx, []string{"-addr", "127.0.0.1:0", "-workers", "1"}, io.Discard, stderr)
+	}()
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("ServeContext: %v", err)
+		}
+	}()
+	var addr string
+	select {
+	case addr = <-stderr.addrC:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("no listen address announced\nstderr: %s", stderr.String())
+	}
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "POST /v1/jobs HTTP/1.1\r\nHost: pskserve\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(start.Add(serveReadHeaderTimeout + 10*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	n, err := conn.Read(make([]byte, 1))
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("stalled client still connected after %v", time.Since(start))
+	}
+	if n != 0 || err == nil {
+		t.Fatalf("stalled client got a response (read %d bytes, err %v)", n, err)
+	}
+	if el := time.Since(start); el < serveReadHeaderTimeout/2 {
+		t.Fatalf("disconnected after %v, well before the %v header deadline", el, serveReadHeaderTimeout)
+	}
 }

@@ -77,6 +77,16 @@ func NewHandler(rec *Recorder, sampler *Sampler) (*Server, error) {
 	return s, nil
 }
 
+// Connection deadlines of the observatory's HTTP server, so a slow or
+// stalled client cannot hold a connection open. readTimeout also
+// bounds how long a request's context lives (net/http cancels it
+// then), so it exceeds the 30 s default of /debug/pprof/profile.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
 // NewServer binds addr (e.g. "127.0.0.1:6060", ":0" for an ephemeral
 // port) and starts serving in a background goroutine. rec may not be
 // nil — a server without a recorder has nothing to say. sampler may be
@@ -91,7 +101,12 @@ func NewServer(addr string, rec *Recorder, sampler *Sampler) (*Server, error) {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
 	s.ln = ln
-	s.srv = &http.Server{Handler: s.mux}
+	s.srv = &http.Server{
+		Handler:           s.mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	go s.srv.Serve(ln) //nolint:errcheck // ErrServerClosed on Close
 	return s, nil
 }

@@ -3,7 +3,9 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"testing"
 	"time"
@@ -147,5 +149,40 @@ func TestServerFinalize(t *testing.T) {
 	}
 	if srv.WaitScraped(0) {
 		t.Fatal("WaitScraped(0) must report false")
+	}
+}
+
+// TestServerDropsStalledClient: a client that stops halfway through its
+// request headers is disconnected, without a response, once
+// readHeaderTimeout has passed.
+func TestServerDropsStalledClient(t *testing.T) {
+	t.Parallel()
+	srv, err := NewServer("127.0.0.1:0", NewRecorder(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: obs\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	n, err := conn.Read(make([]byte, 1))
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("stalled client still connected after %v", time.Since(start))
+	}
+	if n != 0 || err == nil {
+		t.Fatalf("stalled client got a response (read %d bytes, err %v)", n, err)
+	}
+	if el := time.Since(start); el < readHeaderTimeout/2 {
+		t.Fatalf("disconnected after %v, well before the %v header deadline", el, readHeaderTimeout)
 	}
 }

@@ -38,24 +38,37 @@ func codeWidth(card int) uint8 {
 
 // packCodes freezes a code slice whose values lie in [0, card).
 func packCodes(codes []int32, card int) packedCodes {
-	p := packedCodes{n: len(codes), width: codeWidth(card)}
+	return packBlocks([][]int32{codes}, card)
+}
+
+// packBlocks is packCodes over codes held in consecutive blocks.
+func packBlocks(blocks [][]int32, card int) packedCodes {
+	n := 0
+	for _, b := range blocks {
+		n += len(b)
+	}
+	p := packedCodes{n: n, width: codeWidth(card)}
 	if p.width > packWidth {
-		p.raw = make([]uint32, len(codes))
-		for i, c := range codes {
-			p.raw[i] = uint32(c)
+		p.raw = make([]uint32, 0, n)
+		for _, b := range blocks {
+			for _, c := range b {
+				p.raw = append(p.raw, uint32(c))
+			}
 		}
 		return p
 	}
 	w := uint(p.width)
-	p.words = make([]uint64, (uint(len(codes))*w+63)/64)
+	p.words = make([]uint64, (uint(n)*w+63)/64)
 	off := uint(0)
-	for _, c := range codes {
-		word, shift := off>>6, off&63
-		p.words[word] |= uint64(uint32(c)) << shift
-		if shift+w > 64 {
-			p.words[word+1] |= uint64(uint32(c)) >> (64 - shift)
+	for _, b := range blocks {
+		for _, c := range b {
+			word, shift := off>>6, off&63
+			p.words[word] |= uint64(uint32(c)) << shift
+			if shift+w > 64 {
+				p.words[word+1] |= uint64(uint32(c)) >> (64 - shift)
+			}
+			off += w
 		}
-		off += w
 	}
 	return p
 }
