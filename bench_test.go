@@ -866,7 +866,7 @@ func BenchmarkPolicy(b *testing.B) {
 // four confidential attributes — through the chunked packed kernel
 // (Packed) and the retained per-row reference kernel (Rowwise), whose
 // ratio is the packed substrate's win. Samarati runs the whole search
-// at ~100k and ~1M rows. Every sub-benchmark reports ns/row and
+// at every tier, ~10M rows included. Every sub-benchmark reports ns/row and
 // allocs/row, the two numbers that must stay flat as rows grow;
 // `make bench-scale` snapshots them into BENCH_scale.json and the CI
 // bench-regression job compares against it. Under -short (the `make
@@ -905,13 +905,6 @@ func BenchmarkScale(b *testing.B) {
 				return err
 			})
 		})
-		if factor > 20 {
-			// The ~10M tier exercises the base scan only; the full
-			// search is proven at ~1M and its cost there bounds the
-			// per-node work, which the roll-up layer makes row-free
-			// past the base scan anyway.
-			continue
-		}
 		cfg := search.Config{
 			QIs:           qis,
 			Confidential:  conf,

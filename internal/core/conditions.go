@@ -11,20 +11,11 @@ import (
 // minimum over confidential attributes of the number of distinct values.
 // No masked microdata derived from t can be p-sensitive for p > MaxP.
 func MaxP(t *table.Table, confidential []string) (int, error) {
-	if len(confidential) == 0 {
-		return 0, fmt.Errorf("core: no confidential attributes")
+	freqs, err := frequencySets(t, confidential)
+	if err != nil {
+		return 0, err
 	}
-	min := -1
-	for _, attr := range confidential {
-		s, err := t.DistinctCount(attr)
-		if err != nil {
-			return 0, err
-		}
-		if min == -1 || s < min {
-			min = s
-		}
-	}
-	return min, nil
+	return maxPOf(freqs), nil
 }
 
 // MaxGroups computes the second necessary condition's bound (Condition
@@ -42,13 +33,33 @@ func MaxGroups(t *table.Table, confidential []string, p int) (int, error) {
 	if p < 1 {
 		return 0, fmt.Errorf("core: p must be >= 1, got %d", p)
 	}
-	n := t.NumRows()
 	if p == 1 {
-		return n, nil
+		return t.NumRows(), nil
 	}
-	cf, err := CFMax(t, confidential)
+	freqs, err := frequencySets(t, confidential)
 	if err != nil {
 		return 0, err
+	}
+	return maxGroupsOf(cfMaxOf(freqs), t.NumRows(), p)
+}
+
+// maxPOf is Condition 1's bound over the confidential attributes'
+// frequency sets: the smallest number of distinct values.
+func maxPOf(freqs [][]int) int {
+	maxP := -1
+	for _, f := range freqs {
+		if maxP == -1 || len(f) < maxP {
+			maxP = len(f)
+		}
+	}
+	return maxP
+}
+
+// maxGroupsOf is Condition 2's arithmetic over cf (cfMaxOf) for n
+// tuples — the one formula every bounds path shares.
+func maxGroupsOf(cf []int, n, p int) (int, error) {
+	if p == 1 {
+		return n, nil
 	}
 	if p-1 > len(cf) {
 		return 0, fmt.Errorf("core: p = %d exceeds the defined cumulative frequency range (maxP = %d)", p, len(cf))
@@ -65,6 +76,25 @@ func MaxGroups(t *table.Table, confidential []string, p int) (int, error) {
 		best = 0
 	}
 	return best, nil
+}
+
+// boundsOf evaluates both necessary conditions from the confidential
+// attributes' frequency sets over n tuples. ComputeBounds takes the
+// frequencies from the table's rows, BoundsFromStats from group
+// statistics; both then share this arithmetic.
+func boundsOf(freqs [][]int, n, p int) (Bounds, error) {
+	if p < 1 {
+		return Bounds{}, fmt.Errorf("core: p must be >= 1, got %d", p)
+	}
+	b := Bounds{MaxP: maxPOf(freqs), P: p}
+	if p > b.MaxP {
+		return b, nil
+	}
+	var err error
+	if b.MaxGroups, err = maxGroupsOf(cfMaxOf(freqs), n, p); err != nil {
+		return Bounds{}, err
+	}
+	return b, nil
 }
 
 // Bounds packages the two necessary-condition values. Theorems 1 and 2
@@ -86,19 +116,11 @@ type Bounds struct {
 // microdata for a target p. If p exceeds MaxP, the returned bounds have
 // Feasible() == false and MaxGroups is 0.
 func ComputeBounds(t *table.Table, confidential []string, p int) (Bounds, error) {
-	maxP, err := MaxP(t, confidential)
+	freqs, err := frequencySets(t, confidential)
 	if err != nil {
 		return Bounds{}, err
 	}
-	b := Bounds{MaxP: maxP, P: p}
-	if p > maxP {
-		return b, nil
-	}
-	b.MaxGroups, err = MaxGroups(t, confidential, p)
-	if err != nil {
-		return Bounds{}, err
-	}
-	return b, nil
+	return boundsOf(freqs, t.NumRows(), p)
 }
 
 // Feasible reports whether Condition 1 admits the target p at all.

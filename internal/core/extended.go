@@ -43,28 +43,20 @@ func (c ExtendedConfig) maxLevel() int {
 // the per-level code translations the statistics path consumes:
 // maps[lvl] translates the table's ground confidential codes into the
 // codes of their level-lvl labels, for every level 0 through maxLevel.
-// Building the maps visits each distinct ground value once per level —
-// afterwards every extended verdict is histogram-only.
+// Each map is a dictionary translation (table.Recode): the hierarchy
+// walk visits each distinct ground value once per level and no row is
+// read, unless a value fails to generalize — then the rows are checked
+// for carrying it. Afterwards every extended verdict is histogram-only.
 func ConfLevelMaps(t *table.Table, confidential string, h hierarchy.Hierarchy, maxLevel int) ([]*table.CodeMap, error) {
-	base, err := t.Column(confidential)
-	if err != nil {
-		return nil, err
-	}
 	maps := make([]*table.CodeMap, maxLevel+1)
-	for lvl := 0; lvl <= maxLevel; lvl++ {
-		lvl := lvl
-		gen, err := t.MapColumn(confidential, func(v table.Value) (string, error) {
+	for lvl := range maps {
+		rc, err := t.Recode(confidential, func(v table.Value) (string, error) {
 			return h.Generalize(v.Str(), lvl)
 		})
 		if err != nil {
 			return nil, err
 		}
-		genCol, err := gen.Column(confidential)
-		if err != nil {
-			return nil, err
-		}
-		maps[lvl], err = table.BuildCodeMap(base, genCol)
-		if err != nil {
+		if maps[lvl], err = table.RecodingMap(nil, rc); err != nil {
 			return nil, err
 		}
 	}

@@ -10,14 +10,20 @@ import (
 	"psk/internal/table"
 )
 
-// Cache memoizes the generalized code array for each (QI attribute,
-// hierarchy level) pair of one source table, so a lattice search that
-// evaluates many nodes re-generalizes each column once per level instead
-// of once per node. A node's masked table is then assembled by swapping
-// cached columns into the source table (O(#QIs) pointer work) rather
-// than re-walking hierarchies per row.
+// Cache memoizes, for each (QI attribute, hierarchy level) pair of one
+// source table, the level's translation of the attribute's dictionary
+// (table.Recoding) and — only once a node is materialized — the
+// generalized column built from it, so a lattice search re-generalizes
+// each column at most once per level instead of once per node. A
+// node's masked table is assembled by swapping cached columns into the
+// source table (O(#QIs) pointer work) rather than re-walking
+// hierarchies per row.
 //
-// A Cache is safe for concurrent use: each column is computed exactly
+// The translations alone serve the roll-up layer: LevelMap derives
+// level-to-level code maps from them in O(cardinality), so statistics
+// move up the lattice without any generalized column being built.
+//
+// A Cache is safe for concurrent use: each entry is computed exactly
 // once behind a per-entry sync.Once, and entries are immutable
 // afterwards, which is what lets the parallel search engine share one
 // Cache across its whole worker pool without further locking.
@@ -25,9 +31,9 @@ type Cache struct {
 	src *table.Table
 	m   *Masker
 
-	mu      sync.Mutex
-	entries map[colKey]*colEntry
-	maps    map[mapKey]*mapEntry
+	mu     sync.Mutex
+	levels map[colKey]*levelEntry
+	maps   map[mapKey]*mapEntry
 
 	// rec is the telemetry sink, if any. An atomic pointer because
 	// Incognito shares one cache across sub-searches that may attach a
@@ -38,6 +44,7 @@ type Cache struct {
 	// built so far, maintained unconditionally — unlike the telemetry
 	// counters — because Budget.MaxCacheBytes enforcement reads it
 	// between node evaluations whether or not a recorder is attached.
+	// Translations and level maps are O(cardinality) and not counted.
 	bytes atomic.Int64
 }
 
@@ -46,11 +53,18 @@ type colKey struct {
 	level int
 }
 
-type colEntry struct {
-	once  sync.Once
-	col   table.Column
-	bytes int64
-	err   error
+// levelEntry memoizes one (attribute, level): its dictionary
+// translation, and the row column built from it once a node at that
+// level is materialized.
+type levelEntry struct {
+	rcOnce sync.Once
+	rc     *table.Recoding
+	rcErr  error
+
+	colOnce  sync.Once
+	col      table.Column
+	colBytes int64
+	colErr   error
 }
 
 type mapKey struct {
@@ -68,7 +82,11 @@ type mapEntry struct {
 // subset of the masker (Incognito's sub-searches share it), because
 // entries are keyed by attribute name, not by QI position.
 func (m *Masker) NewCache(src *table.Table) *Cache {
-	return &Cache{src: src, m: m, entries: make(map[colKey]*colEntry), maps: make(map[mapKey]*mapEntry)}
+	return &Cache{
+		src: src, m: m,
+		levels: make(map[colKey]*levelEntry),
+		maps:   make(map[mapKey]*mapEntry),
+	}
 }
 
 // Source returns the table the cache generalizes.
@@ -84,73 +102,89 @@ func (c *Cache) Observe(rec *obs.Recorder) {
 // obs methods are nil-safe so callers don't guard).
 func (c *Cache) recorder() *obs.Recorder { return c.rec.Load() }
 
-// Column returns the source column for attr generalized to the given
-// hierarchy level, computing and memoizing it on first use.
-func (c *Cache) Column(attr string, level int) (table.Column, error) {
+// level returns the memo entry of (attr, level), creating it if absent.
+func (c *Cache) level(attr string, level int) *levelEntry {
 	c.mu.Lock()
-	e, ok := c.entries[colKey{attr, level}]
+	defer c.mu.Unlock()
+	e, ok := c.levels[colKey{attr, level}]
 	if !ok {
-		e = &colEntry{}
-		c.entries[colKey{attr, level}] = e
+		e = &levelEntry{}
+		c.levels[colKey{attr, level}] = e
 	}
-	c.mu.Unlock()
-	e.once.Do(func() {
+	return e
+}
+
+// recoding returns the translation of attr's dictionary to the given
+// hierarchy level, computing and memoizing it on first use: the
+// hierarchy walk runs once per dictionary entry, and no row is read.
+func (c *Cache) recoding(attr string, level int) (*table.Recoding, error) {
+	e := c.level(attr, level)
+	e.rcOnce.Do(func() {
 		h, err := c.m.hiers.Get(attr)
 		if err != nil {
-			e.err = fmt.Errorf("generalize: %w", err)
+			e.rcErr = fmt.Errorf("generalize: %w", err)
 			return
 		}
-		// RemappedColumn applies the hierarchy walk once per distinct
-		// source value and translates the packed code stream block-wise
-		// — no per-row string is materialized, and the built column is
-		// bit-packed from the start.
-		e.col, e.err = c.src.RemappedColumn(attr, func(v table.Value) (string, error) {
+		e.rc, e.rcErr = c.src.Recode(attr, func(v table.Value) (string, error) {
 			return h.Generalize(v.Str(), level)
 		})
-		if e.err != nil {
-			e.err = fmt.Errorf("generalize: cache %s level %d: %w", attr, level, e.err)
-		}
-		if e.col != nil {
-			e.bytes = table.MemBytes(e.col)
-			c.bytes.Add(e.bytes)
+		if e.rcErr != nil {
+			e.rcErr = fmt.Errorf("generalize: cache %s level %d: %w", attr, level, e.rcErr)
 		}
 	})
+	return e.rc, e.rcErr
+}
+
+// Column returns the source column for attr generalized to the given
+// hierarchy level, building and memoizing it on first use: one pass
+// over the rows through the level's memoized translation, so the
+// column's codes are exactly the codes LevelMap translates into. Only
+// materialization (ApplyQIs) needs row columns; the search's
+// statistics never do.
+func (c *Cache) Column(attr string, level int) (table.Column, error) {
+	e := c.level(attr, level)
+	built := false
+	e.colOnce.Do(func() {
+		built = true
+		rc, err := c.recoding(attr, level)
+		if err != nil {
+			e.colErr = err
+			return
+		}
+		if e.col, e.colErr = rc.Column(); e.colErr != nil {
+			e.colErr = fmt.Errorf("generalize: cache %s level %d: %w", attr, level, e.colErr)
+			return
+		}
+		e.colBytes = table.MemBytes(e.col)
+		c.bytes.Add(e.colBytes)
+	})
+	// The goroutine that built the column reports the miss (and the
+	// column's size); every other access is a hit.
 	if rec := c.recorder(); rec != nil {
-		// The goroutine that inserted the entry reports the miss (and
-		// the built column's size); every later access is a hit.
-		if ok {
-			rec.CacheColumn(true, 0)
+		if built {
+			rec.CacheColumn(false, e.colBytes)
 		} else {
-			rec.CacheColumn(false, e.bytes)
+			rec.CacheColumn(true, 0)
 		}
 	}
-	return e.col, e.err
+	return e.col, e.colErr
 }
 
 // Bytes returns the estimated memory currently held by built columns,
 // the quantity search budgets cap with Budget.MaxCacheBytes.
 func (c *Cache) Bytes() int64 { return c.bytes.Load() }
 
-// levelColumn returns attr generalized to level, where level 0 is the
-// source column itself (ApplyQIs leaves level-0 attributes untouched,
-// so code maps must translate relative to the raw column there).
-func (c *Cache) levelColumn(attr string, level int) (table.Column, error) {
-	if level == 0 {
-		col, err := c.src.Column(attr)
-		if err != nil {
-			return nil, fmt.Errorf("generalize: %w", err)
-		}
-		return col, nil
-	}
-	return c.Column(attr, level)
-}
-
 // LevelMap returns the code translation for attr from one hierarchy
 // level to another, computing and memoizing it on first use. A nil map
 // (with nil error) means the levels are equal and the translation is
-// the identity. Full-domain recoding guarantees the translation exists
-// whenever `to` generalizes `from`; requesting a non-nested pair
-// surfaces as a non-functional-relation error from BuildCodeMap.
+// the identity. Level 0 is the source column's own codes (ApplyQIs
+// leaves level-0 attributes untouched), so LevelMap(attr, 0, to) is the
+// level's dictionary translation itself, and any other pair composes
+// two translations (table.RecodingMap). Either way the map costs
+// O(cardinality) and reads no row. Full-domain recoding guarantees the
+// translation exists whenever `to` generalizes `from`; a non-nested
+// pair surfaces as a non-functional-relation error, on which the
+// search falls back to scanning rows.
 //
 // The roll-up layer uses these maps to move QI-group keys between
 // lattice nodes without rescanning rows.
@@ -167,17 +201,19 @@ func (c *Cache) LevelMap(attr string, from, to int) (*table.CodeMap, error) {
 	c.mu.Unlock()
 	c.recorder().CacheLevelMap(ok)
 	e.once.Do(func() {
-		fromCol, err := c.levelColumn(attr, from)
-		if err != nil {
-			e.err = err
-			return
+		// A nil translation stands for level 0, the source codes.
+		var fromRC, toRC *table.Recoding
+		if from != 0 {
+			if fromRC, e.err = c.recoding(attr, from); e.err != nil {
+				return
+			}
 		}
-		toCol, err := c.levelColumn(attr, to)
-		if err != nil {
-			e.err = err
-			return
+		if to != 0 {
+			if toRC, e.err = c.recoding(attr, to); e.err != nil {
+				return
+			}
 		}
-		e.cm, e.err = table.BuildCodeMap(fromCol, toCol)
+		e.cm, e.err = table.RecodingMap(fromRC, toRC)
 		if e.err != nil {
 			e.err = fmt.Errorf("generalize: level map %s %d->%d: %w", attr, from, to, e.err)
 		}

@@ -160,11 +160,11 @@ func TestLevelMap(t *testing.T) {
 					}
 					continue
 				}
-				fromCol, err := c.levelColumn(attr, from)
+				fromCol, err := levelColumn(c, attr, from)
 				if err != nil {
 					t.Fatal(err)
 				}
-				toCol, err := c.levelColumn(attr, to)
+				toCol, err := levelColumn(c, attr, to)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -187,6 +187,16 @@ func TestLevelMap(t *testing.T) {
 	if _, err := c.LevelMap("Age", 0, 1); err == nil {
 		t.Error("unknown attribute accepted")
 	}
+}
+
+// levelColumn returns attr generalized to level, where level 0 is the
+// source column itself (ApplyQIs leaves level-0 attributes untouched,
+// so level maps translate relative to the raw column there).
+func levelColumn(c *Cache, attr string, level int) (table.Column, error) {
+	if level == 0 {
+		return c.Source().Column(attr)
+	}
+	return c.Column(attr, level)
 }
 
 // TestLevelMapConcurrent hammers LevelMap from many goroutines; run

@@ -31,7 +31,7 @@ func AllMinimal(im *table.Table, cfg Config) (ExhaustiveResult, error) {
 	span := cfg.Recorder.StartSpan(obs.PhaseSearch, nil)
 	defer span.End()
 
-	bounds, err := searchBounds(im, cfg)
+	bounds, base, err := searchBounds(im, cfg)
 	if err != nil {
 		return ExhaustiveResult{}, err
 	}
@@ -43,6 +43,7 @@ func AllMinimal(im *table.Table, cfg Config) (ExhaustiveResult, error) {
 	}
 
 	eval := newEvaluator(im, m, nil, cfg, bounds)
+	eval.seedBase(base)
 	lat := m.Lattice()
 	cfg.Recorder.AddLatticeNodes(int64(lat.Size()))
 	tagged := make(map[string]bool) // known satisfied via a specialization

@@ -25,7 +25,8 @@ type Budget struct {
 	// worker count. Zero means unlimited.
 	MaxNodes int64
 	// MaxCacheBytes caps the estimated memory (table.MemBytes) held by
-	// the generalized-column cache. Checked between node evaluations;
+	// the generalized-column cache — with the roll-up store on, the
+	// columns of materialized nodes. Checked between node evaluations;
 	// the search stops before evaluating the next node once the cache
 	// exceeds the cap. Zero means unlimited. Ignored with DisableCache
 	// (there is no cache to measure).

@@ -125,6 +125,10 @@ type outcome struct {
 	// so retaining it here is safe.
 	post *table.GroupStats
 	res  core.Result
+	// pending marks a node the statistics proved satisfying whose masked
+	// table is not built yet: evalNodeStats leaves materialization to
+	// its caller, which skips it for speculative hits (finishHit).
+	pending bool
 }
 
 // evalNode runs the property check at one node. The bounds are reused
@@ -237,10 +241,12 @@ func (e *evaluator) verdict(res core.Result, o *outcome) bool {
 // pre-suppression stats come from the roll-up store (rows are scanned
 // at most once per search, at the lattice bottom), suppression is
 // replayed on the statistics, and the verdict functions of core run on
-// histograms. The masked table is only materialized for satisfying
-// nodes, through the identical ApplyQIs + SuppressWithin pipeline the
-// direct path uses, so results — tables, suppression counts and Stats
-// deltas — are byte-identical to the direct path, branch for branch.
+// histograms. A satisfying node's outcome is left pending: the caller
+// materializes the masked table (materialize) only for nodes whose
+// table it keeps, through the identical ApplyQIs + SuppressWithin
+// pipeline the direct path uses, so results — tables, suppression
+// counts and Stats deltas — are byte-identical to the direct path,
+// branch for branch.
 func (e *evaluator) evalNodeStats(node lattice.Node) outcome {
 	var o outcome
 	o.evaluated = true
@@ -265,13 +271,6 @@ func (e *evaluator) evalNodeStats(node lattice.Node) outcome {
 	post := s.SuppressBelow(e.cfg.K)
 	e.rec.PhaseEnd(obs.PhaseSuppress, supStart)
 	o.stats.SuppressedRows += violating
-	accept := func() {
-		if e.noMaterialize {
-			o.ok, o.suppressed = true, violating
-			return
-		}
-		e.materialize(node, &o)
-	}
 
 	polStart := e.rec.Start()
 	res, err := e.policy.Evaluate(core.StatsView{Stats: post, Conf: e.conf})
@@ -281,8 +280,8 @@ func (e *evaluator) evalNodeStats(node lattice.Node) outcome {
 		return o
 	}
 	if e.verdict(res, &o) {
-		accept()
-		if o.ok && e.keepStats {
+		o.ok, o.suppressed, o.pending = true, violating, !e.noMaterialize
+		if e.keepStats {
 			o.post, o.res = post, res
 		}
 	}
@@ -290,9 +289,11 @@ func (e *evaluator) evalNodeStats(node lattice.Node) outcome {
 }
 
 // materialize builds the masked table for a node the statistics proved
-// satisfying, through the same pipeline the direct path runs.
+// satisfying, through the same pipeline the direct path runs. The
+// outcome counts as satisfied again only once the table is built.
 func (e *evaluator) materialize(node lattice.Node, o *outcome) {
 	defer e.rec.PhaseEnd(obs.PhaseMaterialize, e.rec.Start())
+	o.ok, o.pending = false, false
 	g, err := e.cache.ApplyQIs(e.qis, node)
 	if err != nil {
 		o.err = err
@@ -350,15 +351,35 @@ func (e *evaluator) evalTimed(node lattice.Node, worker int) outcome {
 // the process, and the reduction surfaces it exactly like any other
 // node error. The recover here pairs with statsFor's, which must
 // additionally publish the node's roll-up entry so no other worker
-// blocks on it forever.
-func (e *evaluator) evalSafe(node lattice.Node, worker int) (o outcome) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.rec.PanicRecovered()
-			o = outcome{evaluated: true, err: fmt.Errorf("search: node %v: panic recovered: %v", node, r)}
-		}
-	}()
-	return e.evalTimed(node, worker)
+// blocks on it forever. With materialize set, a pending hit's masked
+// table is built here, on the worker; otherwise the reduction builds
+// it for the one hit it keeps (finishHit).
+func (e *evaluator) evalSafe(node lattice.Node, worker int, materialize bool) (o outcome) {
+	defer e.recoverNode(node, &o)
+	o = e.evalTimed(node, worker)
+	if materialize && o.pending {
+		e.materialize(node, &o)
+	}
+	return o
+}
+
+// finishHit materializes the pending hit a first-hit reduction kept.
+// Deferring it to the reduction means hits the workers found past the
+// first one in node order — speculative work the reduction discards —
+// never build a masked table.
+func (e *evaluator) finishHit(node lattice.Node, o *outcome) {
+	defer e.recoverNode(node, o)
+	if o.pending {
+		e.materialize(node, o)
+	}
+}
+
+// recoverNode, deferred, turns a panic into the node's error outcome.
+func (e *evaluator) recoverNode(node lattice.Node, o *outcome) {
+	if r := recover(); r != nil {
+		e.rec.PanicRecovered()
+		*o = outcome{evaluated: true, err: fmt.Errorf("search: node %v: panic recovered: %v", node, r)}
+	}
 }
 
 // nodeVerdict classifies an outcome from its stats delta: each
@@ -407,7 +428,7 @@ func (e *evaluator) run(nodes []lattice.Node, cancelEarly bool) ([]outcome, int)
 				if !e.lim.checkpoint() {
 					break
 				}
-				outs[i] = e.evalSafe(nodes[i], 0)
+				outs[i] = e.evalSafe(nodes[i], 0, !cancelEarly)
 				if cancelEarly && (outs[i].ok || outs[i].err != nil) {
 					break
 				}
@@ -434,7 +455,7 @@ func (e *evaluator) run(nodes []lattice.Node, cancelEarly bool) ([]outcome, int)
 					if cancelEarly && int64(i) > atomic.LoadInt64(&barrier) {
 						continue
 					}
-					o := e.evalSafe(nodes[i], worker)
+					o := e.evalSafe(nodes[i], worker, !cancelEarly)
 					outs[i] = o
 					if cancelEarly && (o.ok || o.err != nil) {
 						for {
@@ -495,6 +516,9 @@ func (e *evaluator) firstHit(nodes []lattice.Node, stats *Stats) (int, outcome, 
 		}
 		if o.ok {
 			e.lim.charge(consumed)
+			if e.finishHit(nodes[i], &o); o.err != nil {
+				return -1, outcome{}, o.err
+			}
 			if e.rec != nil {
 				e.rec.NoteBest(nodes[i].String(), nodes[i].Height())
 			}

@@ -54,7 +54,7 @@ func Exhaustive(im *table.Table, cfg Config) (ExhaustiveResult, error) {
 	span := cfg.Recorder.StartSpan(obs.PhaseSearch, nil)
 	defer span.End()
 
-	bounds, err := searchBounds(im, cfg)
+	bounds, base, err := searchBounds(im, cfg)
 	if err != nil {
 		return ExhaustiveResult{}, err
 	}
@@ -66,6 +66,7 @@ func Exhaustive(im *table.Table, cfg Config) (ExhaustiveResult, error) {
 	}
 
 	eval := newEvaluator(im, m, nil, cfg, bounds)
+	eval.seedBase(base)
 	nodes := m.Lattice().AllNodes()
 	cfg.Recorder.AddLatticeNodes(int64(len(nodes)))
 	outs, err := eval.evalAll(nodes, &res.Stats)

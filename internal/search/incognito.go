@@ -28,7 +28,7 @@ func BottomUp(im *table.Table, cfg Config) (ExhaustiveResult, error) {
 	span := cfg.Recorder.StartSpan(obs.PhaseSearch, nil)
 	defer span.End()
 
-	bounds, err := searchBounds(im, cfg)
+	bounds, base, err := searchBounds(im, cfg)
 	if err != nil {
 		return ExhaustiveResult{}, err
 	}
@@ -40,6 +40,7 @@ func BottomUp(im *table.Table, cfg Config) (ExhaustiveResult, error) {
 	}
 
 	eval := newEvaluator(im, m, nil, cfg, bounds)
+	eval.seedBase(base)
 	lat := m.Lattice()
 	cfg.Recorder.AddLatticeNodes(int64(lat.Size()))
 	for h := 0; h <= lat.Height(); h++ {

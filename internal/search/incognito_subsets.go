@@ -61,7 +61,7 @@ func Incognito(im *table.Table, cfg Config) (IncognitoResult, error) {
 	span := cfg.Recorder.StartSpan(obs.PhaseSearch, nil)
 	defer span.End()
 
-	bounds, err := searchBounds(im, cfg)
+	bounds, baseStats, err := searchBounds(im, cfg)
 	if err != nil {
 		return IncognitoResult{}, err
 	}
@@ -107,25 +107,15 @@ func Incognito(im *table.Table, cfg Config) (IncognitoResult, error) {
 
 	// With the roll-up store on, frequency sets roll up across QI
 	// subsets too — the classic Incognito formulation: the base-level
-	// statistics over the full QI set are computed once, and every
-	// subset lattice's bottom is a projection of them, so no subset
-	// search ever re-scans rows. Projections chain by descending subset
-	// size — each mask projects from a one-attribute-larger superset
-	// with the fewest groups — so most merge a few hundred groups
-	// instead of the full base-level group set.
+	// statistics over the full QI set (searchBounds scanned them) are
+	// the only row scan, and every subset lattice's bottom is a
+	// projection of them, so no subset search ever re-scans rows.
+	// Projections chain by descending subset size — each mask projects
+	// from a one-attribute-larger superset with the fewest groups — so
+	// most merge a few hundred groups instead of the full base-level
+	// group set.
 	var projStats map[uint32]*table.GroupStats
-	if sharedCache != nil && !cfg.DisableRollup {
-		conf := cfg.effectiveConf()
-		w := cfg.Workers
-		if w < 1 {
-			w = 1
-		}
-		gbStart := cfg.Recorder.Start()
-		baseStats, err := im.GroupStats(qis, conf, w)
-		cfg.Recorder.PhaseEnd(obs.PhaseGroupBy, gbStart)
-		if err != nil {
-			return IncognitoResult{}, err
-		}
+	if baseStats != nil {
 		fullMask := uint32(1<<mAttrs) - 1
 		projStats = make(map[uint32]*table.GroupStats, fullMask)
 		projStats[fullMask] = baseStats

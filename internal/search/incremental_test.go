@@ -145,7 +145,7 @@ func freshNodeStats(t *testing.T, s *Incremental, node lattice.Node) (violating 
 	if violating > s.cfg.MaxSuppress {
 		return violating, false, stats
 	}
-	bounds, err := searchBounds(snap, s.cfg)
+	bounds, _, err := searchBounds(snap, s.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

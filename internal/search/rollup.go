@@ -24,14 +24,15 @@ import (
 // The store is safe for concurrent use by the evaluator's worker pool:
 // entries are created under the mutex, computed once by their creator,
 // and published by closing done. Waiting on another node's entry can
-// never deadlock — a creator only ever waits on the lattice bottom's
-// entry, whose computation waits on nothing.
+// never deadlock — a creator's computation waits on nothing (it reads
+// only completed entries).
 type rollupStore struct {
 	mu      sync.Mutex
 	entries map[string]*rollupEntry
-	// rowScans counts how many node evaluations fell back to scanning
-	// rows; for a nested hierarchy set it stays at 1 (the lattice
-	// bottom), which TestRollupStoreScansOnce pins.
+	// rowScans counts the row scans behind the store's entries: the
+	// up-front base scan (seedBase) plus any node whose roll-up failed.
+	// For a nested hierarchy set it stays at 1, which
+	// TestRollupStoreScansOnce pins.
 	rowScans atomic.Int64
 }
 
@@ -118,12 +119,25 @@ func (e *evaluator) buildStats(node lattice.Node) (*table.GroupStats, error) {
 	return g.GroupStats(e.qis, e.conf, w)
 }
 
+// seedBase installs the lattice bottom's statistics, scanned up front
+// by searchBounds, as the roll-up store's bottom entry. That scan is
+// the search's one base-level row scan, so it is counted as one. A nil
+// base (the ablations) or store leaves the evaluator untouched.
+func (e *evaluator) seedBase(base *table.GroupStats) {
+	if base == nil || e.rollups == nil {
+		return
+	}
+	e.rollups.rowScans.Add(1)
+	e.rec.RollupRowScan()
+	e.rollups.seed(make(lattice.Node, len(e.qis)), base)
+}
+
 // statsFor returns the node's pre-suppression group statistics,
-// rolling up from the nearest already-evaluated descendant when one
-// exists. The first node with no completed descendant seeds the store
-// with the lattice bottom's statistics (the one base-level row scan of
-// the search); every other node is then an ancestor of something in
-// the store, so it merges groups instead of scanning rows.
+// rolling up from the nearest already-evaluated descendant. The store's
+// bottom entry is seeded before the search evaluates any node
+// (seedBase, or a projection in Incognito's subset lattices), so every
+// node is an ancestor of something in the store and merges groups
+// instead of scanning rows.
 func (e *evaluator) statsFor(node lattice.Node) (*table.GroupStats, error) {
 	entry, created := e.rollups.acquire(node)
 	if !created {
@@ -150,15 +164,7 @@ func (e *evaluator) statsFor(node lattice.Node) (*table.GroupStats, error) {
 }
 
 func (e *evaluator) computeStats(node lattice.Node) (*table.GroupStats, error) {
-	src := e.rollups.nearestDescendant(node)
-	if src == nil && node.Height() > 0 {
-		// Seed the bottom so this and all later nodes can roll up.
-		bottom := make(lattice.Node, len(node))
-		if bs, err := e.statsFor(bottom); err == nil && bs != nil {
-			src = &rollupEntry{node: bottom, stats: bs}
-		}
-	}
-	if src != nil {
+	if src := e.rollups.nearestDescendant(node); src != nil {
 		rollStart := e.rec.Start()
 		maps, err := e.levelMaps(src.node, node)
 		if err == nil {
@@ -168,14 +174,12 @@ func (e *evaluator) computeStats(node lattice.Node) (*table.GroupStats, error) {
 				e.rec.RollupMerge()
 				return rolled, nil
 			}
-			err = rerr
 		}
 		e.rec.PhaseEnd(obs.PhaseRollup, rollStart)
 		// A roll-up can only fail when a hierarchy is not a nested
 		// refinement (level maps are then not functional). The direct
 		// scan still defines the node's statistics, so fall back rather
 		// than failing a search the direct path would complete.
-		_ = err
 	}
 	e.rollups.rowScans.Add(1)
 	e.rec.RollupRowScan()

@@ -222,9 +222,10 @@ func TestRollupRandomizedEquivalence(t *testing.T) {
 }
 
 // TestRollupStoreScansOnce: an exhaustive search over the whole lattice
-// must hit the row-scanning fallback exactly once (the lattice bottom);
-// every other node's statistics must arrive via roll-up. This pins the
-// perf contract, not just the equivalence.
+// must scan rows exactly once — the up-front base scan searchBounds
+// takes the bounds from and seeds the store with; every node's
+// statistics, the bottom's included, must arrive from the store. This
+// pins the perf contract, not just the equivalence.
 func TestRollupStoreScansOnce(t *testing.T) {
 	tbl := figure3Table(t)
 	cfg := kOnlyConfig(t, 4)
@@ -233,13 +234,20 @@ func TestRollupStoreScansOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounds, err := searchBounds(tbl, cfg)
+	bounds, base, err := searchBounds(tbl, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if base == nil {
+		t.Fatal("searchBounds took no base scan with the roll-up store on")
 	}
 	e := newEvaluator(tbl, m, nil, cfg, bounds)
 	if e.rollups == nil {
 		t.Fatal("rollup store not enabled by default")
+	}
+	e.seedBase(base)
+	if scans := e.rollups.rowScans.Load(); scans != 1 {
+		t.Fatalf("seeding counted %d row scans, want 1", scans)
 	}
 	nodes := m.Lattice().AllNodes()
 	for _, node := range nodes {
@@ -251,7 +259,7 @@ func TestRollupStoreScansOnce(t *testing.T) {
 		t.Errorf("store holds %d entries, want %d", len(e.rollups.entries), len(nodes))
 	}
 	if scans := e.rollups.rowScans.Load(); scans != 1 {
-		t.Errorf("row-scanning fallback ran %d times, want 1 (lattice bottom only)", scans)
+		t.Errorf("rows scanned %d times, want 1 (the base scan only)", scans)
 	}
 	// Re-evaluating is served entirely from the store.
 	for _, node := range nodes {

@@ -14,7 +14,11 @@ import (
 // Faithfulness notes:
 //
 //   - Condition 1 (p <= maxP) is checked once on the initial microdata,
-//     before any node is evaluated, exactly as Algorithm 3 does.
+//     before any node is evaluated, exactly as Algorithm 3 does. Both
+//     bounds come from the lattice bottom's group statistics, which the
+//     search scans up front anyway (searchBounds): Theorems 1 and 2 need
+//     only the initial microdata's confidential frequencies, and those
+//     statistics carry them, so the bounds cost no second row pass.
 //   - Condition 2 is applied per node. Algorithm 3 as printed filters on
 //     the group count of the generalized-only table; because suppression
 //     can only reduce the group count, that filter can reject a node
@@ -44,7 +48,7 @@ func Samarati(im *table.Table, cfg Config) (Result, error) {
 	span := cfg.Recorder.StartSpan(obs.PhaseSearch, nil)
 	defer span.End()
 
-	bounds, err := searchBounds(im, cfg)
+	bounds, base, err := searchBounds(im, cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -58,6 +62,7 @@ func Samarati(im *table.Table, cfg Config) (Result, error) {
 	}
 
 	eval := newEvaluator(im, m, nil, cfg, bounds)
+	eval.seedBase(base)
 	lat := m.Lattice()
 	cfg.Recorder.AddLatticeNodes(int64(lat.Size()))
 	low, high := 0, lat.Height()
@@ -117,12 +122,36 @@ func Samarati(im *table.Table, cfg Config) (Result, error) {
 // microdata when the built-in property is searched with conditions
 // enabled and p >= 2; otherwise it returns permissive bounds that never
 // reject. A custom Policy brings its own bounds (core.WithBounds), so
-// no dataset scan happens on its behalf here.
-func searchBounds(im *table.Table, cfg Config) (core.Bounds, error) {
-	if cfg.Policy == nil && cfg.UseConditions && cfg.P >= 2 {
-		return core.ComputeBounds(im, cfg.Confidential, cfg.P)
+// none are computed on its behalf here.
+//
+// With the roll-up store on, it also returns the lattice bottom's group
+// statistics, scanned here up front: they are the search's one row
+// scan (the caller seeds the store with them, evaluator.seedBase), and
+// by Theorems 1–2 the bounds need only the initial microdata's
+// confidential frequencies, which those statistics carry — so the
+// bounds derive from them (core.BoundsFromStats) instead of a second
+// pass over the rows. The cache and roll-up ablations keep the
+// row-scanning core.ComputeBounds and return nil statistics.
+func searchBounds(im *table.Table, cfg Config) (core.Bounds, *table.GroupStats, error) {
+	var base *table.GroupStats
+	if !cfg.DisableCache && !cfg.DisableRollup {
+		gbStart := cfg.Recorder.Start()
+		var err error
+		base, err = im.GroupStats(cfg.QIs, cfg.effectiveConf(), max(cfg.Workers, 1))
+		cfg.Recorder.PhaseEnd(obs.PhaseGroupBy, gbStart)
+		if err != nil {
+			return core.Bounds{}, nil, err
+		}
 	}
-	return core.Bounds{MaxP: cfg.P, MaxGroups: im.NumRows(), P: cfg.P}, nil
+	if cfg.Policy != nil || !cfg.UseConditions || cfg.P < 2 {
+		return core.Bounds{MaxP: cfg.P, MaxGroups: im.NumRows(), P: cfg.P}, base, nil
+	}
+	if base == nil {
+		bounds, err := core.ComputeBounds(im, cfg.Confidential, cfg.P)
+		return bounds, nil, err
+	}
+	bounds, err := core.BoundsFromStats(base, cfg.P)
+	return bounds, base, err
 }
 
 // firstAtHeight probes every node at one height (lexicographic order)

@@ -76,54 +76,43 @@ func NewSparseCodeMap(m map[int]int) *CodeMap {
 	return &CodeMap{sparse: sp}
 }
 
-// BuildCodeMap derives the code translation from one column to a
-// row-aligned column: for every row r, Map(from.Code(r)) ==
-// to.Code(r). It errors when the columns disagree on length or when
-// the relation is not functional — two rows sharing a source code but
-// holding different target codes — which would mean the columns are
-// not nested refinements of each other (a broken hierarchy).
-func BuildCodeMap(from, to Column) (*CodeMap, error) {
-	if from == nil || to == nil {
-		return nil, fmt.Errorf("table: code map requires two columns")
-	}
-	n := from.Len()
-	if to.Len() != n {
-		return nil, fmt.Errorf("table: code map columns have %d vs %d rows", n, to.Len())
-	}
-	m := &CodeMap{}
-	if cr, ok := from.(codeRanger); ok {
-		if lo, hi, ok := cr.CodeRange(); ok && hi >= lo && hi-lo < denseCodeMapSpan {
-			m.lo = lo
-			m.dense = make([]int, hi-lo+1)
-			for i := range m.dense {
-				m.dense[i] = unmappedCode
-			}
+// newCodeMap returns an empty CodeMap for source codes in [lo, hi]:
+// a flat slice when the range is known and narrow, a hash map
+// otherwise, so sparse numeric columns do not explode memory.
+func newCodeMap(lo, hi int, ranged bool) *CodeMap {
+	if ranged && hi >= lo && hi-lo < denseCodeMapSpan {
+		m := &CodeMap{lo: lo, dense: make([]int, hi-lo+1)}
+		for i := range m.dense {
+			m.dense[i] = unmappedCode
 		}
+		return m
 	}
-	if m.dense == nil {
-		m.sparse = make(map[int]int)
-	}
-	for r := 0; r < n; r++ {
-		fc, tc := from.Code(r), to.Code(r)
-		if m.dense != nil {
-			i := fc - m.lo
-			if i < 0 || i >= len(m.dense) {
-				return nil, fmt.Errorf("table: code map: row %d code %d outside declared range", r, fc)
-			}
-			switch cur := m.dense[i]; cur {
-			case unmappedCode:
-				m.dense[i] = tc
-			case tc:
-			default:
-				return nil, fmt.Errorf("table: code map not functional: code %d maps to both %d and %d", fc, cur, tc)
-			}
-			continue
+	return &CodeMap{sparse: make(map[int]int)}
+}
+
+// set records that source code fc translates to tc. It errors when fc
+// already translates to a different code — the relation is not a
+// function — or lies outside a dense map's declared range.
+func (m *CodeMap) set(fc, tc int) error {
+	var cur int
+	if m.dense != nil {
+		i := fc - m.lo
+		if i < 0 || i >= len(m.dense) {
+			return fmt.Errorf("table: code map: code %d outside declared range", fc)
 		}
-		if cur, ok := m.sparse[fc]; !ok {
+		if cur = m.dense[i]; cur == unmappedCode {
+			m.dense[i] = tc
+			return nil
+		}
+	} else {
+		var ok bool
+		if cur, ok = m.sparse[fc]; !ok {
 			m.sparse[fc] = tc
-		} else if cur != tc {
-			return nil, fmt.Errorf("table: code map not functional: code %d maps to both %d and %d", fc, cur, tc)
+			return nil
 		}
 	}
-	return m, nil
+	if cur != tc {
+		return fmt.Errorf("table: code map not functional: code %d maps to both %d and %d", fc, cur, tc)
+	}
+	return nil
 }

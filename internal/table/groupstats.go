@@ -416,51 +416,6 @@ func (t *Table) groupStats(qis, confidential []string, workers int, rowwise bool
 	return mergeStatShards(shards, len(qis), len(confidential)), nil
 }
 
-// confPlan describes how the chunked kernel accumulates one
-// confidential column's histograms: the column's rows project onto
-// dense ids in [0, width) — extracted a block at a time by read — and
-// code translates an id back to the value the per-row Code method
-// reports, so emitted histograms match the rowwise scan exactly.
-type confPlan struct {
-	width int
-	read  func(dst []int32, lo, hi int) []int32
-	code  func(id int) int
-}
-
-// confPlanFor builds the dense-id projection of a confidential column,
-// or reports false for column types without a dictionary.
-func confPlanFor(c Column) (confPlan, bool) {
-	switch col := c.(type) {
-	case *stringColumn:
-		return confPlan{
-			width: len(col.dict),
-			read:  col.codes32,
-			code:  func(id int) int { return id },
-		}, true
-	case *floatColumn:
-		return confPlan{
-			width: len(col.dict),
-			read: func(dst []int32, lo, hi int) []int32 {
-				return append(dst, col.codes[lo:hi]...)
-			},
-			code: func(id int) int { return id },
-		}, true
-	case *intColumn:
-		d := col.intDict()
-		return confPlan{
-			width: len(d.vals),
-			read: func(dst []int32, lo, hi int) []int32 {
-				for _, v := range col.vals[lo:hi] {
-					dst = append(dst, d.id(v))
-				}
-				return dst
-			},
-			code: func(id int) int { return int(d.vals[id]) },
-		}, true
-	}
-	return confPlan{}, false
-}
-
 // buildStatShard aggregates rows [lo, hi) into per-group stats, groups
 // ordered by first appearance within the shard. It prefers the chunked
 // kernel and falls back to the rowwise scan when the key columns have
@@ -483,10 +438,10 @@ func buildStatShard(cols, confCols []Column, plan packPlan, packed bool, lo, hi 
 // the arena pool, so repeated scans (the lattice search's base scans)
 // allocate only their O(#groups) output.
 func buildStatShardChunked(cols, confCols []Column, plan packPlan, lo, hi int) (*GroupStats, bool) {
-	confs := make([]confPlan, len(confCols))
+	confs := make([]dictPlan, len(confCols))
 	stride := 0
 	for i, c := range confCols {
-		cp, ok := confPlanFor(c)
+		cp, ok := dictPlanFor(c)
 		if !ok {
 			return nil, false
 		}

@@ -187,110 +187,6 @@ func (t *Table) MappedColumn(name string, fn func(Value) (string, error)) (Colum
 	return dst, nil
 }
 
-// RemappedColumn is the columnar fast path of MappedColumn for pure
-// fn: it applies fn once per dictionary entry to build a code-to-code
-// remap, then translates the source's packed code stream block-wise —
-// per-row work is two array lookups, and no per-row string is ever
-// materialized or re-hashed. The result column holds the same values
-// row-for-row as MappedColumn's; only the (externally invisible)
-// dictionary order may differ, because codes are visited in source-code
-// order rather than row order. Column types without a dictionary fall
-// back to MappedColumn.
-func (t *Table) RemappedColumn(name string, fn func(Value) (string, error)) (Column, error) {
-	idx := t.schema.Index(name)
-	if idx < 0 {
-		return nil, fmt.Errorf("table: %w: %q", ErrNoColumn, name)
-	}
-	dst := newStringColumn()
-	mapErr := func(v Value, err error) error {
-		return fmt.Errorf("table: map column %q value %q: %w", name, v.Str(), err)
-	}
-	switch src := t.cols[idx].(type) {
-	case *stringColumn:
-		// A shared dictionary (Gather) may hold values no row carries,
-		// so fn errors are deferred per entry and surface only when a
-		// row actually references the failing value — matching
-		// MappedColumn, which never sees absent values.
-		remap := make([]int32, len(src.dict))
-		var entryErr []error
-		for code, s := range src.dict {
-			out, err := fn(SV(s))
-			if err != nil {
-				if entryErr == nil {
-					entryErr = make([]error, len(src.dict))
-				}
-				entryErr[code] = mapErr(SV(s), err)
-				remap[code] = -1
-				continue
-			}
-			remap[code] = dst.intern(out)
-		}
-		dst.codes = make([]int32, 0, t.nrows)
-		if src.frozen {
-			scratch := make([]int32, 0, blockRows)
-			for lo := 0; lo < t.nrows; lo += blockRows {
-				hi := lo + blockRows
-				if hi > t.nrows {
-					hi = t.nrows
-				}
-				scratch = src.packed.appendRange32(scratch[:0], lo, hi)
-				for _, code := range scratch {
-					if m := remap[code]; m >= 0 {
-						dst.codes = append(dst.codes, m)
-					} else {
-						return nil, entryErr[code]
-					}
-				}
-			}
-		} else {
-			for _, code := range src.codes {
-				if m := remap[code]; m >= 0 {
-					dst.codes = append(dst.codes, m)
-				} else {
-					return nil, entryErr[code]
-				}
-			}
-		}
-	case *intColumn:
-		d := src.intDict()
-		remap := make([]int32, len(d.vals))
-		for id, v := range d.vals {
-			out, err := fn(IV(v))
-			if err != nil {
-				return nil, mapErr(IV(v), err)
-			}
-			remap[id] = dst.intern(out)
-		}
-		dst.codes = make([]int32, 0, t.nrows)
-		if d.dense != nil {
-			for _, v := range src.vals {
-				dst.codes = append(dst.codes, remap[d.dense[v-d.lo]-1])
-			}
-		} else {
-			for _, v := range src.vals {
-				dst.codes = append(dst.codes, remap[d.byVal[v]])
-			}
-		}
-	case *floatColumn:
-		remap := make([]int32, len(src.dict))
-		for code, f := range src.dict {
-			out, err := fn(FV(f))
-			if err != nil {
-				return nil, mapErr(FV(f), err)
-			}
-			remap[code] = dst.intern(out)
-		}
-		dst.codes = make([]int32, 0, t.nrows)
-		for _, code := range src.codes {
-			dst.codes = append(dst.codes, remap[code])
-		}
-	default:
-		return t.MappedColumn(name, fn)
-	}
-	dst.freeze()
-	return dst, nil
-}
-
 // WithColumn returns a new table in which the named column has been
 // replaced by col; every other column is shared, not copied. The column
 // must have exactly one value per row. This is the cheap assembly step
