@@ -20,7 +20,6 @@ import (
 	"psk/internal/config"
 	"psk/internal/obs"
 	"psk/internal/serve"
-	"psk/internal/serve/loadtest"
 )
 
 // TestExitCodeAgreement pins the service's exit-code constants and its
@@ -289,8 +288,7 @@ func TestServeSmoke(t *testing.T) {
 	// on the single worker, cancel it while queued, and read the
 	// cancelled StopReason. The blockers give the DELETE round trip a
 	// margin of many engine runs, not one.
-	bigCSV := loadtest.DatasetCSV(60000)
-	bigJob := loadtest.JobSpec(0)
+	bigCSV, bigJob := blockerWorkload(t)
 	cancelBefore := sc.counters()
 	blockers := make([]string, 12)
 	for i := range blockers {
@@ -396,4 +394,39 @@ func TestServeDropsStalledClient(t *testing.T) {
 	if el := time.Since(start); el < serveReadHeaderTimeout/2 {
 		t.Fatalf("disconnected after %v, well before the %v header deadline", el, serveReadHeaderTimeout)
 	}
+}
+
+// blockerWorkload is the smoke test's queue-filling search: 60,000 rows
+// whose ZipCode has 6,000 distinct values, under a five-step ZipCode
+// hierarchy (a 48-node lattice whose low nodes carry thousands of
+// groups). One exhaustive search over it outlasts a submission of its
+// own CSV, so a dozen of them keep the single worker busy while the
+// victim waits in the queue.
+func blockerWorkload(t *testing.T) (string, *config.Job) {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString("Age,ZipCode,Sex,Illness\n")
+	sexes := [2]string{"M", "F"}
+	ills := [4]string{"Flu", "Asthma", "Diabetes", "Hypertension"}
+	for i := 0; i < 60000; i++ {
+		fmt.Fprintf(&b, "%d,%05d,%s,%s\n", 20+(i*7)%50, (i*7919)%6000, sexes[i%2], ills[(i*5)%4])
+	}
+	job, err := config.Parse([]byte(`{
+  "quasiIdentifiers": ["Age", "ZipCode", "Sex"],
+  "confidential": ["Illness"],
+  "k": 2, "p": 1, "maxSuppress": 2,
+  "types": {"Age": "int"},
+  "hierarchies": {
+    "Age":     {"type": "interval",
+                "levels": [{"name": "decades", "width": 10, "min": 20, "max": 70},
+                           {"cuts": [50], "labels": ["<50", ">=50"]},
+                           {"labels": ["*"]}]},
+    "ZipCode": {"type": "prefixSteps", "width": 5, "suppress": [1, 2, 3, 4, 5]},
+    "Sex":     {"type": "flat", "top": "Person"}
+  }
+}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.String(), job
 }

@@ -90,6 +90,9 @@ func AllMinimal(im *table.Table, cfg Config) (ExhaustiveResult, error) {
 	if err := attachFrontier(eval, lat, true, &res.Stats, &res.Frontier, &span); err != nil {
 		return ExhaustiveResult{}, err
 	}
+	if res.Minimal, err = eval.materializeReported(res.Minimal); err != nil {
+		return ExhaustiveResult{}, err
+	}
 	res.StopReason = eval.lim.stopReason()
 	span.End()
 	res.Report = cfg.Recorder.Snapshot()

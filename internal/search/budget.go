@@ -11,7 +11,11 @@ import (
 // Budget bounds the resources one search may spend. The zero value is
 // unlimited. Budgets compose with Config.Context: whichever limit trips
 // first stops the search, which then returns a valid best-so-far
-// partial result tagged with the StopReason instead of an error.
+// partial result tagged with the StopReason instead of an error. A
+// search that stops this way still builds the masked table of the
+// first node it reports; cancellation, the deadline and the cache cap
+// also stop the builds of any further reported tables, so such a
+// result lists only the nodes whose tables were built.
 type Budget struct {
 	// Deadline is the wall-clock allowance for the whole search,
 	// measured from the strategy call. Zero means no deadline. (To bound
@@ -25,10 +29,15 @@ type Budget struct {
 	// worker count. Zero means unlimited.
 	MaxNodes int64
 	// MaxCacheBytes caps the estimated memory (table.MemBytes) held by
-	// the generalized-column cache — with the roll-up store on, the
-	// columns of materialized nodes. Checked between node evaluations;
-	// the search stops before evaluating the next node once the cache
-	// exceeds the cap. Zero means unlimited. Ignored with DisableCache
+	// the generalized-column cache. Checked before each node evaluation
+	// and before each masked-table build after the first; once the
+	// cache exceeds the cap no further node is evaluated and no further
+	// table built. With the roll-up store on, the walk decides nodes
+	// from statistics and adds columns only where a non-nested
+	// hierarchy makes a roll-up fall back to scanning rows, so the cap
+	// mostly bites while the reported nodes are materialized. With
+	// DisableRollup every evaluated node's columns land in the cache
+	// during the walk. Zero means unlimited. Ignored with DisableCache
 	// (there is no cache to measure).
 	MaxCacheBytes int64
 }
@@ -172,6 +181,27 @@ func (l *limiter) checkpoint() bool {
 	if l.reason.Load() != int32(StopDone) {
 		return false
 	}
+	return l.within()
+}
+
+// moreTables gates each masked-table build after a walk's first
+// (evaluator.materializeReported). It stops on the same limits as
+// checkpoint, whether they trip now or tripped during the walk, except
+// a spent node budget: that only bounds which nodes the walk
+// evaluated, and the partial result it leaves gets all its tables.
+func (l *limiter) moreTables() bool {
+	if l == nil {
+		return true
+	}
+	if r := l.stopReason(); r != StopDone && r != StopNodeBudget {
+		return false
+	}
+	return l.within()
+}
+
+// within checks cancellation, the deadline and the cache cap, tripping
+// the first one exceeded.
+func (l *limiter) within() bool {
 	if l.ctx != nil {
 		select {
 		case <-l.ctx.Done():

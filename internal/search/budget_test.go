@@ -9,6 +9,8 @@ import (
 
 	"psk/internal/core"
 	"psk/internal/dataset"
+	"psk/internal/hierarchy"
+	"psk/internal/lattice"
 	"psk/internal/obs"
 	"psk/internal/table"
 )
@@ -251,12 +253,14 @@ func TestPreCancelledContext(t *testing.T) {
 	}
 }
 
-// TestMemBudgetStops pins Budget.MaxCacheBytes: a 1-byte cap trips
-// StopMemBudget as soon as the first generalized column lands in the
-// cache, and the search still returns cleanly.
+// TestMemBudgetStops pins Budget.MaxCacheBytes on the roll-up
+// ablation, where every evaluated node's generalized columns land in
+// the cache during the walk: a 1-byte cap trips StopMemBudget as soon
+// as the first column does, and the search still returns cleanly.
 func TestMemBudgetStops(t *testing.T) {
 	tbl := figure3Table(t)
 	cfg := kOnlyConfig(t, 2)
+	cfg.DisableRollup = true
 	cfg.Budget.MaxCacheBytes = 1
 	r, err := Exhaustive(tbl, cfg)
 	if err != nil {
@@ -269,6 +273,144 @@ func TestMemBudgetStops(t *testing.T) {
 	// the cap must bite before the full lattice does.
 	if r.Stats.NodesEvaluated == 0 || r.Stats.NodesEvaluated >= 6 {
 		t.Fatalf("evaluated %d nodes under a 1-byte cache cap", r.Stats.NodesEvaluated)
+	}
+}
+
+// TestMemBudgetStopsMaterialize pins Budget.MaxCacheBytes on the
+// roll-up path, whose walk over nested hierarchies adds no columns to
+// the cache: the cap bites between the materializations of the
+// reported nodes. Exhaustive reports StopMemBudget with fewer minimal
+// nodes than the uncapped run, each with its masked table; Samarati's
+// single reported node is always built, even when the walk itself
+// pushed the cache over the cap.
+func TestMemBudgetStopsMaterialize(t *testing.T) {
+	tbl := figure3Table(t)
+	cfg := kOnlyConfig(t, 2)
+	cfg.Workers = 1
+	full, err := Exhaustive(tbl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.Minimal) < 2 {
+		t.Fatalf("uncapped run found %d minimal nodes, want >= 2", len(full.Minimal))
+	}
+	capped := cfg
+	capped.Budget.MaxCacheBytes = 1
+	r, err := Exhaustive(tbl, capped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.StopReason != StopMemBudget {
+		t.Fatalf("stop reason %v, want mem-budget", r.StopReason)
+	}
+	if r.Stats.NodesEvaluated != full.Stats.NodesEvaluated {
+		t.Fatalf("capped walk evaluated %d nodes, uncapped %d", r.Stats.NodesEvaluated, full.Stats.NodesEvaluated)
+	}
+	if len(r.Minimal) == 0 || len(r.Minimal) >= len(full.Minimal) {
+		t.Fatalf("capped run returned %d minimal nodes, uncapped %d", len(r.Minimal), len(full.Minimal))
+	}
+	for _, m := range r.Minimal {
+		if m.Masked == nil {
+			t.Fatalf("minimal node %v returned without its masked table", m.Node)
+		}
+	}
+
+	sr, err := Samarati(tbl, capped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sr.Found || sr.Masked == nil {
+		t.Fatalf("capped Samarati found=%v masked=%v, want its node built", sr.Found, sr.Masked != nil)
+	}
+
+	// A non-nested hierarchy makes the roll-up fall back to row scans,
+	// whose columns do land in the cache during the walk. Here Samarati
+	// finds <0,1>, and then its frontier pass scans <0,2> from rows and
+	// trips the cap before the found node's table is built.
+	hs, err := hierarchy.NewSet(hierarchy.NewFlat("Sex"), crossingZip{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range strategies() {
+		t.Run("non-nested/"+s.name, func(t *testing.T) {
+			cfg := kOnlyConfig(t, 1)
+			cfg.K = 2
+			cfg.Hierarchies = hs
+			cfg.Frontier.Enabled = true
+			cfg.Budget.MaxCacheBytes = 1
+			_, reason, min, err := s.run(tbl, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reason != StopMemBudget {
+				t.Fatalf("stop reason %v, want mem-budget", reason)
+			}
+			if len(min) == 0 {
+				t.Fatal("no node returned")
+			}
+			for _, m := range min {
+				if m.Masked == nil {
+					t.Fatalf("node %v returned without its masked table", m.Node)
+				}
+			}
+		})
+	}
+}
+
+// TestMaterializeGate pins which limits stop the table builds after a
+// walk: with the search cancelled or past its deadline only the first
+// reported node is built, while a spent node budget, which only bounds
+// the walk, leaves every reported node its table.
+func TestMaterializeGate(t *testing.T) {
+	tbl := figure3Table(t)
+	nodes := []lattice.Node{{0, 1}, {1, 0}, {1, 1}}
+	cases := []struct {
+		name  string
+		limit func(*limiter)
+		want  int
+		stop  StopReason
+	}{
+		{"cancelled", func(l *limiter) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			l.ctx = ctx
+		}, 1, StopCancelled},
+		{"deadline", func(l *limiter) { l.deadline = time.Now().Add(-time.Second) }, 1, StopDeadline},
+		{"node-budget", func(l *limiter) { l.trip(StopNodeBudget) }, len(nodes), StopNodeBudget},
+	}
+	for _, c := range cases {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/w%d", c.name, workers), func(t *testing.T) {
+				cfg := kOnlyConfig(t, 10)
+				cfg.Workers = workers
+				m, err := cfg.validate()
+				if err != nil {
+					t.Fatal(err)
+				}
+				lim := &limiter{}
+				e := newLimitedEvaluator(tbl, m, nil, cfg, core.Bounds{}, lim)
+				c.limit(lim)
+				hits := make([]MinimalNode, len(nodes))
+				for i, n := range nodes {
+					hits[i].Node = n
+				}
+				built, err := e.materializeReported(hits)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(built) != c.want || lim.stopReason() != c.stop {
+					t.Fatalf("built %d tables, stop %v; want %d, %v", len(built), lim.stopReason(), c.want, c.stop)
+				}
+				if !built[0].Node.Equal(nodes[0]) {
+					t.Fatalf("first built node %v, want %v", built[0].Node, nodes[0])
+				}
+				for _, h := range built {
+					if h.Masked == nil {
+						t.Fatalf("node %v returned without its masked table", h.Node)
+					}
+				}
+			})
+		}
 	}
 }
 

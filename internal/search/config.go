@@ -98,7 +98,8 @@ type Config struct {
 	// Independent of Recorder; nil disables tracing.
 	Tracer *obs.Tracer
 	// Context, when non-nil, cancels the search: once Done, no further
-	// lattice node starts evaluating and the strategy returns its valid
+	// lattice node starts evaluating, no masked table past the first
+	// reported one is built, and the strategy returns its valid
 	// best-so-far partial result tagged StopCancelled. Nil (the default)
 	// means the search is not cancellable from outside.
 	Context context.Context

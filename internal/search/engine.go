@@ -49,10 +49,6 @@ type evaluator struct {
 	// Incognito's subset searches each get their own store (their nodes
 	// index different QI subsets) while sharing one column cache.
 	rollups *rollupStore
-	// noMaterialize tells the stats path the caller never reads
-	// outcome.masked (Incognito's non-final subsets only consume the
-	// verdict), so satisfying nodes skip building the masked table.
-	noMaterialize bool
 	// keepStats tells both evaluation paths to retain the
 	// post-suppression group statistics and the policy verdict of
 	// satisfying nodes on the outcome (outcome.post / outcome.res). The
@@ -125,10 +121,6 @@ type outcome struct {
 	// so retaining it here is safe.
 	post *table.GroupStats
 	res  core.Result
-	// pending marks a node the statistics proved satisfying whose masked
-	// table is not built yet: evalNodeStats leaves materialization to
-	// its caller, which skips it for speculative hits (finishHit).
-	pending bool
 }
 
 // evalNode runs the property check at one node. The bounds are reused
@@ -241,12 +233,12 @@ func (e *evaluator) verdict(res core.Result, o *outcome) bool {
 // pre-suppression stats come from the roll-up store (rows are scanned
 // at most once per search, at the lattice bottom), suppression is
 // replayed on the statistics, and the verdict functions of core run on
-// histograms. A satisfying node's outcome is left pending: the caller
-// materializes the masked table (materialize) only for nodes whose
-// table it keeps, through the identical ApplyQIs + SuppressWithin
-// pipeline the direct path uses, so results — tables, suppression
-// counts and Stats deltas — are byte-identical to the direct path,
-// branch for branch.
+// histograms. A satisfying node's outcome is left pending (ok, with no
+// masked table): the walk never materializes, and the strategy builds
+// masked tables (materializeReported) only for the nodes it reports,
+// through the identical ApplyQIs + SuppressWithin pipeline the direct
+// path uses, so results — tables, suppression counts and Stats deltas —
+// are byte-identical to the direct path, branch for branch.
 func (e *evaluator) evalNodeStats(node lattice.Node) outcome {
 	var o outcome
 	o.evaluated = true
@@ -280,7 +272,7 @@ func (e *evaluator) evalNodeStats(node lattice.Node) outcome {
 		return o
 	}
 	if e.verdict(res, &o) {
-		o.ok, o.suppressed, o.pending = true, violating, !e.noMaterialize
+		o.ok, o.suppressed = true, violating
 		if e.keepStats {
 			o.post, o.res = post, res
 		}
@@ -293,7 +285,7 @@ func (e *evaluator) evalNodeStats(node lattice.Node) outcome {
 // outcome counts as satisfied again only once the table is built.
 func (e *evaluator) materialize(node lattice.Node, o *outcome) {
 	defer e.rec.PhaseEnd(obs.PhaseMaterialize, e.rec.Start())
-	o.ok, o.pending = false, false
+	o.ok = false
 	g, err := e.cache.ApplyQIs(e.qis, node)
 	if err != nil {
 		o.err = err
@@ -351,27 +343,62 @@ func (e *evaluator) evalTimed(node lattice.Node, worker int) outcome {
 // the process, and the reduction surfaces it exactly like any other
 // node error. The recover here pairs with statsFor's, which must
 // additionally publish the node's roll-up entry so no other worker
-// blocks on it forever. With materialize set, a pending hit's masked
-// table is built here, on the worker; otherwise the reduction builds
-// it for the one hit it keeps (finishHit).
-func (e *evaluator) evalSafe(node lattice.Node, worker int, materialize bool) (o outcome) {
+// blocks on it forever.
+func (e *evaluator) evalSafe(node lattice.Node, worker int) (o outcome) {
 	defer e.recoverNode(node, &o)
-	o = e.evalTimed(node, worker)
-	if materialize && o.pending {
-		e.materialize(node, &o)
-	}
-	return o
+	return e.evalTimed(node, worker)
 }
 
-// finishHit materializes the pending hit a first-hit reduction kept.
-// Deferring it to the reduction means hits the workers found past the
-// first one in node order — speculative work the reduction discards —
-// never build a masked table.
-func (e *evaluator) finishHit(node lattice.Node, o *outcome) {
-	defer e.recoverNode(node, o)
-	if o.pending {
-		e.materialize(node, o)
+// materializeReported builds the masked tables of the nodes a strategy
+// reports, after its walk: hits with a nil Masked are pending
+// stats-path outcomes, materialized on the worker pool through the
+// unchanged materialize pipeline (hits the ablation paths already built
+// are kept as they are). The first table is always built, so a single
+// reported node (Samarati's) always has its table. Each later one is
+// gated on limiter.moreTables: once the search is cancelled, past its
+// deadline or over Budget.MaxCacheBytes, no further table is built. It
+// returns the hits whose tables exist, in their given order, or the
+// first error in that order.
+func (e *evaluator) materializeReported(hits []MinimalNode) ([]MinimalNode, error) {
+	var todo []int
+	for i := range hits {
+		if hits[i].Masked == nil {
+			todo = append(todo, i)
+		}
 	}
+	if len(todo) == 0 {
+		return hits, nil
+	}
+	outs := make([]outcome, len(todo))
+	var next int64
+	e.pool("materialize", e.cfg.workerCount(len(todo)), func(int) {
+		for {
+			j := int(atomic.AddInt64(&next, 1)) - 1
+			if j >= len(todo) || (j > 0 && !e.lim.moreTables()) {
+				return
+			}
+			e.materializeSafe(hits[todo[j]].Node, &outs[j])
+		}
+	})
+	for j := range outs {
+		if outs[j].err != nil {
+			return nil, outs[j].err
+		}
+		hits[todo[j]].Masked, hits[todo[j]].Suppressed = outs[j].masked, outs[j].suppressed
+	}
+	built := hits[:0]
+	for _, h := range hits {
+		if h.Masked != nil {
+			built = append(built, h)
+		}
+	}
+	return built, nil
+}
+
+// materializeSafe is materialize with evalSafe's panic recovery.
+func (e *evaluator) materializeSafe(node lattice.Node, o *outcome) {
+	defer e.recoverNode(node, o)
+	e.materialize(node, o)
 }
 
 // recoverNode, deferred, turns a panic into the node's error outcome.
@@ -423,12 +450,12 @@ func (e *evaluator) run(nodes []lattice.Node, cancelEarly bool) ([]outcome, int)
 	w := e.cfg.workerCount(limit)
 	e.rec.SetPoolSize(w)
 	if w <= 1 {
-		e.labeled(0, func() {
+		e.pool("node-eval", 1, func(int) {
 			for i := 0; i < limit; i++ {
 				if !e.lim.checkpoint() {
 					break
 				}
-				outs[i] = e.evalSafe(nodes[i], 0, !cancelEarly)
+				outs[i] = e.evalSafe(nodes[i], 0)
 				if cancelEarly && (outs[i].ok || outs[i].err != nil) {
 					break
 				}
@@ -438,64 +465,73 @@ func (e *evaluator) run(nodes []lattice.Node, cancelEarly bool) ([]outcome, int)
 	}
 	var next int64
 	barrier := int64(limit) // lowest index seen to hit or fail hard
-	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			e.labeled(worker, func() {
+	e.pool("node-eval", w, func(worker int) {
+		for {
+			i := int(atomic.AddInt64(&next, 1)) - 1
+			if i >= limit {
+				return
+			}
+			if !e.lim.checkpoint() {
+				return
+			}
+			if cancelEarly && int64(i) > atomic.LoadInt64(&barrier) {
+				continue
+			}
+			o := e.evalSafe(nodes[i], worker)
+			outs[i] = o
+			if cancelEarly && (o.ok || o.err != nil) {
 				for {
-					i := int(atomic.AddInt64(&next, 1)) - 1
-					if i >= limit {
-						return
-					}
-					if !e.lim.checkpoint() {
-						return
-					}
-					if cancelEarly && int64(i) > atomic.LoadInt64(&barrier) {
-						continue
-					}
-					o := e.evalSafe(nodes[i], worker, !cancelEarly)
-					outs[i] = o
-					if cancelEarly && (o.ok || o.err != nil) {
-						for {
-							cur := atomic.LoadInt64(&barrier)
-							if int64(i) >= cur || atomic.CompareAndSwapInt64(&barrier, cur, int64(i)) {
-								break
-							}
-						}
+					cur := atomic.LoadInt64(&barrier)
+					if int64(i) >= cur || atomic.CompareAndSwapInt64(&barrier, cur, int64(i)) {
+						break
 					}
 				}
-			})
-		}(g)
-	}
-	wg.Wait()
+			}
+		}
+	})
 	return outs, limit
 }
 
-// labeled runs fn under pprof goroutine labels identifying the
-// strategy, pipeline phase and worker id, so CPU and goroutine profiles
+// pool runs work once per worker id 0..w-1 — worker 0 on the calling
+// goroutine, the others on their own — and returns once all have. Each
+// runs under pprof goroutine labels identifying the strategy, pipeline
+// phase ("node-eval" for the walk, "materialize" for the reported
+// nodes' table builds) and worker id, so CPU and goroutine profiles
 // scraped from the live /debug/pprof endpoints (or -cpuprofile files)
 // attribute samples to (psk_strategy, psk_phase, psk_worker). Labels
-// cost one small allocation per engine batch — amortized over the
-// batch's node evaluations — and are restored on return.
-func (e *evaluator) labeled(worker int, fn func()) {
+// cost one small allocation per worker per engine batch — amortized
+// over the batch's node evaluations — and are restored on return.
+func (e *evaluator) pool(phase string, w int, work func(worker int)) {
 	strat := e.cfg.strategy
 	if strat == "" {
 		strat = "direct"
 	}
-	pprof.Do(context.Background(), pprof.Labels(
-		"psk_strategy", strat,
-		"psk_phase", "node-eval",
-		"psk_worker", strconv.Itoa(worker),
-	), func(context.Context) { fn() })
+	labeled := func(worker int) {
+		pprof.Do(context.Background(), pprof.Labels(
+			"psk_strategy", strat,
+			"psk_phase", phase,
+			"psk_worker", strconv.Itoa(worker),
+		), func(context.Context) { work(worker) })
+	}
+	var wg sync.WaitGroup
+	for g := 1; g < w; g++ {
+		wg.Add(1)
+		go func(worker int) {
+			defer wg.Done()
+			labeled(worker)
+		}(g)
+	}
+	labeled(0)
+	wg.Wait()
 }
 
 // firstHit returns the index and outcome of the first satisfying node
-// in node order, or index -1. Stats are merged exactly as the serial
-// scan would: deltas accumulate in node order up to and including the
-// first hit (or error); speculative work past it is discarded, so
-// totals are identical at every worker count. The node budget is
+// in node order, or index -1. A stats-path hit comes back pending: its
+// caller decides whether the node is reported and so materialized.
+// Stats are merged exactly as the serial scan would: deltas accumulate
+// in node order up to and including the first hit (or error);
+// speculative work past it is discarded, so totals are identical at
+// every worker count. The node budget is
 // charged with the same consumed count, making budget spend equally
 // scheduling-independent; a truncated batch that found no hit trips
 // StopNodeBudget (a hit inside the prefix means the truncation never
@@ -516,9 +552,6 @@ func (e *evaluator) firstHit(nodes []lattice.Node, stats *Stats) (int, outcome, 
 		}
 		if o.ok {
 			e.lim.charge(consumed)
-			if e.finishHit(nodes[i], &o); o.err != nil {
-				return -1, outcome{}, o.err
-			}
 			if e.rec != nil {
 				e.rec.NoteBest(nodes[i].String(), nodes[i].Height())
 			}
@@ -537,6 +570,8 @@ func (e *evaluator) firstHit(nodes []lattice.Node, stats *Stats) (int, outcome, 
 // Nodes a tripped limiter skipped stay !evaluated in the returned
 // slice; callers treat them as non-satisfying, which keeps partial
 // results valid (everything reported satisfying really was evaluated).
+// Stats-path hits come back pending, with no masked table: the caller
+// materializes only the ones it reports (materializeReported).
 func (e *evaluator) evalAll(nodes []lattice.Node, stats *Stats) ([]outcome, error) {
 	outs, limit := e.run(nodes, false)
 	consumed := 0

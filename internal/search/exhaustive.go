@@ -43,7 +43,9 @@ type ExhaustiveResult struct {
 // monotonicity assumption, so it is the reference implementation the
 // tests compare the faster searches against; it also powers Table 4,
 // whose lattice has only six nodes. Every node is independent, so with
-// cfg.Workers > 1 the whole lattice is evaluated concurrently.
+// cfg.Workers > 1 the whole lattice is evaluated concurrently. Nodes
+// are decided from their verdicts alone; only the minimal ones, the
+// nodes it reports, get their masked tables built, after the walk.
 func Exhaustive(im *table.Table, cfg Config) (ExhaustiveResult, error) {
 	cfg.strategy = "exhaustive"
 	m, err := cfg.validate()
@@ -89,6 +91,9 @@ func Exhaustive(im *table.Table, cfg Config) (ExhaustiveResult, error) {
 		}
 	}
 	if err := attachFrontier(eval, m.Lattice(), false, &res.Stats, &res.Frontier, &span); err != nil {
+		return ExhaustiveResult{}, err
+	}
+	if res.Minimal, err = eval.materializeReported(res.Minimal); err != nil {
 		return ExhaustiveResult{}, err
 	}
 	res.StopReason = eval.lim.stopReason()

@@ -164,7 +164,6 @@ func (e *evaluator) frontierScan(lat *lattice.Lattice, monotone bool, stats *Sta
 
 	fe := *e
 	fe.keepStats = true
-	fe.noMaterialize = true
 
 	rows := e.im.NumRows()
 	var entries []FrontierEntry

@@ -56,13 +56,15 @@ func BottomUp(im *table.Table, cfg Config) (ExhaustiveResult, error) {
 			}
 		}
 		if len(levelHits) > 0 {
-			res.Minimal = levelHits
 			for _, hit := range levelHits {
 				res.Satisfying = append(res.Satisfying, hit.Node)
 			}
 			// BottomUp makes no monotonicity assumption, so the frontier
 			// pass must not cut up-sets either.
 			if err := attachFrontier(eval, lat, false, &res.Stats, &res.Frontier, &span); err != nil {
+				return ExhaustiveResult{}, err
+			}
+			if res.Minimal, err = eval.materializeReported(levelHits); err != nil {
 				return ExhaustiveResult{}, err
 			}
 			res.StopReason = eval.lim.stopReason()

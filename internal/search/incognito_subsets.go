@@ -183,10 +183,6 @@ subsets:
 			}
 
 			subEval := newLimitedEvaluator(im, subMasker, sharedCache, subCfg, bounds, lim)
-			// Only the final full-QI pass reads masked tables from the
-			// outcomes; smaller subsets exist purely to prune, so their
-			// stats-path evaluations stop at the verdict.
-			subEval.noMaterialize = size < mAttrs
 			if size == mAttrs {
 				fullEval = subEval
 			}
@@ -271,6 +267,13 @@ subsets:
 		// Incognito assumes monotonicity (the subset property), so the
 		// frontier scan may cut dominated up-sets.
 		if err := attachFrontier(fullEval, m.Lattice(), true, &res.Stats, &res.Frontier, &span); err != nil {
+			return IncognitoResult{}, err
+		}
+	}
+	// Only the full-QI pass reports nodes; smaller subsets exist purely
+	// to prune, so their hits never get a masked table.
+	if len(res.Minimal) > 0 {
+		if res.Minimal, err = fullEval.materializeReported(res.Minimal); err != nil {
 			return IncognitoResult{}, err
 		}
 	}

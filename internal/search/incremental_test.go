@@ -364,16 +364,10 @@ func TestIncrementalWorkerCountsAgree(t *testing.T) {
 	}
 }
 
-// TestIncrementalRepairAscends engineers a violation with a satisfying
-// ancestor: the session must climb from the incumbent — not search cold
-// — and land on the first satisfying ancestor in deterministic node
-// order, with the telemetry counting exactly one repair.
-func TestIncrementalRepairAscends(t *testing.T) {
-	sch := table.MustSchema(
-		table.Field{Name: "Sex", Type: table.String},
-		table.Field{Name: "ZipCode", Type: table.String},
-		table.Field{Name: "Illness", Type: table.String},
-	)
+// repairAscentTable is 16 rows over two sexes and two zips whose bottom
+// node publishes first under k=3, p=1 and a zero suppression budget.
+func repairAscentTable(t testing.TB) *table.Table {
+	t.Helper()
 	var rows [][]string
 	for _, sex := range []string{"M", "F"} {
 		for _, zip := range []string{"41076", "41099"} {
@@ -382,10 +376,25 @@ func TestIncrementalRepairAscends(t *testing.T) {
 			}
 		}
 	}
-	im, err := table.FromText(sch, rows)
+	im, err := table.FromText(figure3Table(t).Schema(), rows)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return im
+}
+
+// repairAscentBatch adds two rows in a brand-new zip to
+// repairAscentTable: a sub-k group the zero suppression budget cannot
+// absorb at the bottom node or at any ancestor below <Sex level 0,
+// ZipCode level 2>, so the session repairs by climbing to <0,2>.
+var repairAscentBatch = [][]string{{"M", "99999", "Flu"}, {"F", "99999", "Cold"}}
+
+// TestIncrementalRepairAscends engineers a violation with a satisfying
+// ancestor: the session must climb from the incumbent — not search cold
+// — and land on the first satisfying ancestor in deterministic node
+// order, with the telemetry counting exactly one repair.
+func TestIncrementalRepairAscends(t *testing.T) {
+	im := repairAscentTable(t)
 	cfg := incrConfig(t, 3, 1, 0, 1)
 	rec := obs.NewRecorder()
 	cfg.Recorder = rec
@@ -401,10 +410,7 @@ func TestIncrementalRepairAscends(t *testing.T) {
 	if !first.Found || !first.Node.Equal(bottom) {
 		t.Fatalf("expected the bottom node to publish first, got %+v (node %v)", first, first.Node)
 	}
-	// Two rows in a brand-new zip: a sub-k group the zero suppression
-	// budget cannot absorb at the incumbent or at any ancestor below
-	// <Sex level 0, ZipCode level 2>.
-	if err := s.Apply([][]string{{"M", "99999", "Flu"}, {"F", "99999", "Cold"}}, nil); err != nil {
+	if err := s.Apply(repairAscentBatch, nil); err != nil {
 		t.Fatal(err)
 	}
 	res, err := s.Republish()

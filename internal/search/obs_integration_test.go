@@ -51,12 +51,16 @@ func TestTelemetryDoesNotChangeResults(t *testing.T) {
 				}
 				if samB.Report == nil {
 					t.Errorf("%s: observed Samarati run lost its report", name)
+				} else if err := materializeNested(samB.Report, w == 0); err != nil {
+					t.Errorf("%s: Samarati: %v", name, err)
 				}
 
 				exA, err := Exhaustive(tbl, base)
 				if err != nil {
 					t.Fatal(err)
 				}
+				// A fresh recorder, so the report covers this search alone.
+				observed.Recorder = obs.NewRecorder()
 				exB, err := Exhaustive(tbl, observed)
 				if err != nil {
 					t.Fatal(err)
@@ -65,6 +69,9 @@ func TestTelemetryDoesNotChangeResults(t *testing.T) {
 					fmt.Sprint(exA.Satisfying) != fmt.Sprint(exB.Satisfying) ||
 					fmtMinimal(exA.Minimal) != fmtMinimal(exB.Minimal) {
 					t.Errorf("%s: telemetry changed the Exhaustive outcome", name)
+				}
+				if err := materializeNested(exB.Report, w == 0); err != nil {
+					t.Errorf("%s: Exhaustive: %v", name, err)
 				}
 
 				buA, err := BottomUp(tbl, base)
@@ -109,6 +116,21 @@ func TestTelemetryDoesNotChangeResults(t *testing.T) {
 			}
 		}
 	}
+}
+
+// materializeNested checks where a search's table builds are recorded:
+// inside its single PhaseSearch span. On a serial run the builds run
+// one after another within that span, so their summed time cannot
+// exceed its total.
+func materializeNested(rep *obs.Report, serial bool) error {
+	search, mat := phaseStat(rep, obs.PhaseSearch), phaseStat(rep, obs.PhaseMaterialize)
+	if search.Count != 1 || mat.Count == 0 {
+		return fmt.Errorf("%d search spans and %d materializations, want 1 and some", search.Count, mat.Count)
+	}
+	if serial && mat.TotalNs > search.TotalNs {
+		return fmt.Errorf("materialize took %dns, more than the %dns search it nests in", mat.TotalNs, search.TotalNs)
+	}
+	return nil
 }
 
 // TestTelemetryDeterministicCounters: for the barrier strategies (whose

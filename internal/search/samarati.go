@@ -37,7 +37,9 @@ import (
 // satisfying height; Exhaustive enumerates all p-k-minimal nodes when
 // every solution is wanted. With cfg.Workers > 1 the nodes of each
 // probed height are evaluated concurrently; the result is identical to
-// the serial search.
+// the serial search. Probes decide nodes from their verdicts alone: the
+// masked table is built once, for the returned node only, after the
+// binary search and the frontier pass.
 func Samarati(im *table.Table, cfg Config) (Result, error) {
 	cfg.strategy = "samarati"
 	m, err := cfg.validate()
@@ -66,7 +68,7 @@ func Samarati(im *table.Table, cfg Config) (Result, error) {
 	lat := m.Lattice()
 	cfg.Recorder.AddLatticeNodes(int64(lat.Size()))
 	low, high := 0, lat.Height()
-	var found *Result
+	var found *MinimalNode
 	for low < high {
 		try := (low + high) / 2
 		r, err := eval.firstAtHeight(lat, try, &res.Stats)
@@ -105,17 +107,19 @@ func Samarati(im *table.Table, cfg Config) (Result, error) {
 	if err := attachFrontier(eval, lat, true, &res.Stats, &res.Frontier, &span); err != nil {
 		return Result{}, err
 	}
+	if found != nil {
+		// Only the final node is reported, so only its table is built;
+		// the hits of earlier probes never were.
+		built, err := eval.materializeReported([]MinimalNode{*found})
+		if err != nil {
+			return Result{}, err
+		}
+		res.Found, res.Node, res.Masked, res.Suppressed = true, built[0].Node, built[0].Masked, built[0].Suppressed
+	}
 	res.StopReason = eval.lim.stopReason()
 	span.End()
-	if found == nil {
-		res.Report = cfg.Recorder.Snapshot()
-		return res, nil
-	}
-	found.Stats = res.Stats
-	found.Frontier = res.Frontier
-	found.StopReason = res.StopReason
-	found.Report = cfg.Recorder.Snapshot()
-	return *found, nil
+	res.Report = cfg.Recorder.Snapshot()
+	return res, nil
 }
 
 // searchBounds computes the necessary-condition bounds on the initial
@@ -155,10 +159,12 @@ func searchBounds(im *table.Table, cfg Config) (core.Bounds, *table.GroupStats, 
 }
 
 // firstAtHeight probes every node at one height (lexicographic order)
-// through the evaluation engine and returns the first satisfying result
-// in node order, or nil. Workers > 1 evaluates the height's nodes
-// concurrently with deterministic reduction.
-func (e *evaluator) firstAtHeight(lat *lattice.Lattice, h int, stats *Stats) (*Result, error) {
+// through the evaluation engine and returns the first satisfying node
+// in node order, or nil. Its masked table is left unbuilt (nil) on the
+// statistics path: Samarati materializes only the node it reports.
+// Workers > 1 evaluates the height's nodes concurrently with
+// deterministic reduction.
+func (e *evaluator) firstAtHeight(lat *lattice.Lattice, h int, stats *Stats) (*MinimalNode, error) {
 	nodes := lat.NodesAtHeight(h)
 	i, o, err := e.firstHit(nodes, stats)
 	if err != nil {
@@ -167,5 +173,5 @@ func (e *evaluator) firstAtHeight(lat *lattice.Lattice, h int, stats *Stats) (*R
 	if i < 0 {
 		return nil, nil
 	}
-	return &Result{Found: true, Node: nodes[i], Masked: o.masked, Suppressed: o.suppressed}, nil
+	return &MinimalNode{Node: nodes[i], Masked: o.masked, Suppressed: o.suppressed}, nil
 }

@@ -182,31 +182,135 @@ func TestNonNestedFallsBackToRows(t *testing.T) {
 	}
 }
 
-// TestSpeculativeHitsNotMaterialized: with several workers, nodes past
-// a height's first hit are evaluated speculatively and discarded. Their
-// hits must not build masked tables: Samarati materializes exactly as
-// many nodes at every worker count as the serial search does.
+// TestSpeculativeHitsNotMaterialized: the walk decides every node from
+// its verdict, and only the nodes a strategy reports get a masked
+// table. Speculative hits — a satisfying node past a height's first
+// hit, an earlier Samarati probe's hit, a satisfying but non-minimal
+// Exhaustive node — are never materialized, so at every worker count
+// PhaseMaterialize's count equals the number of tables returned: one
+// for Samarati, len(Minimal) for the enumerating strategies, none for
+// frontier scoring or an incremental repair. On this sample Samarati
+// has two successful probes and Exhaustive more satisfying nodes than
+// minimal ones.
 func TestSpeculativeHitsNotMaterialized(t *testing.T) {
 	src, base := adultSample(t, 3000)
-	want := int64(-1)
-	for _, workers := range []int{1, 2, 4, 8} {
-		cfg := base
-		cfg.Workers = workers
-		cfg.Recorder = obs.NewRecorder()
-		if _, err := Samarati(src, cfg); err != nil {
-			t.Fatal(err)
+	type row struct {
+		name string
+		// run returns the number of masked tables the call returned and
+		// the recorder's report.
+		run func(t *testing.T, cfg Config) (int, *obs.Report, error)
+	}
+	var rows []row
+	for _, s := range strategies() {
+		rows = append(rows, row{s.name, func(t *testing.T, cfg Config) (int, *obs.Report, error) {
+			_, _, min, err := s.run(src, cfg)
+			for _, m := range min {
+				if m.Masked == nil {
+					t.Fatalf("%s: node %v returned without its table", s.name, m.Node)
+				}
+			}
+			if err == nil && len(min) == 0 {
+				t.Fatalf("%s: no node found", s.name)
+			}
+			return len(min), cfg.Recorder.Snapshot(), err
+		}})
+	}
+	rows = append(rows, row{"frontier-scan", func(t *testing.T, cfg Config) (int, *obs.Report, error) {
+		m, err := cfg.validate()
+		if err != nil {
+			return 0, nil, err
 		}
-		n := int64(0)
-		for _, p := range cfg.Recorder.Snapshot().Phases {
-			if p.Phase == obs.PhaseMaterialize.String() {
-				n = p.Count
+		bounds, bs, err := searchBounds(src, cfg)
+		if err != nil {
+			return 0, nil, err
+		}
+		e := newEvaluator(src, m, nil, cfg, bounds)
+		e.seedBase(bs)
+		var stats Stats
+		fr, err := e.frontierScan(m.Lattice(), true, &stats)
+		if err == nil && len(fr) == 0 {
+			t.Fatal("frontier scan scored no node")
+		}
+		return 0, cfg.Recorder.Snapshot(), err
+	}})
+	rows = append(rows, row{"incremental-repair", func(t *testing.T, cfg Config) (int, *obs.Report, error) {
+		// TestIncrementalRepairAscends's scenario: the cold publish
+		// materializes its node; the repair that follows reports a node
+		// but returns no table, so it must build none.
+		icfg := incrConfig(t, 3, 1, 0, cfg.Workers)
+		icfg.Recorder = obs.NewRecorder()
+		s, err := OpenIncremental(repairAscentTable(t), icfg, StrategySamarati)
+		if err != nil {
+			return 0, nil, err
+		}
+		if _, err := s.Republish(); err != nil {
+			return 0, nil, err
+		}
+		cold := phaseStat(icfg.Recorder.Snapshot(), obs.PhaseMaterialize).Count
+		if err := s.Apply(repairAscentBatch, nil); err != nil {
+			return 0, nil, err
+		}
+		res, err := s.Republish()
+		if err != nil {
+			return 0, nil, err
+		}
+		rep := icfg.Recorder.Snapshot()
+		if !res.Found || rep.Incremental.RepairAscents != 1 {
+			t.Fatalf("repair found=%v after %d ascents, want one successful repair", res.Found, rep.Incremental.RepairAscents)
+		}
+		tables := 0
+		if res.Masked != nil {
+			tables = 1
+		}
+		// Report the repair alone: the cold publish's materialization
+		// is subtracted from the phase count.
+		for i := range rep.Phases {
+			if rep.Phases[i].Phase == obs.PhaseMaterialize.String() {
+				rep.Phases[i].Count -= cold
 			}
 		}
-		if want < 0 {
-			want = n
-		}
-		if n != want || n == 0 {
-			t.Fatalf("workers=%d: %d materializations, serial search %d", workers, n, want)
+		return tables, rep, nil
+	}})
+	for _, r := range rows {
+		for _, workers := range []int{1, 2, 4, 8} {
+			t.Run(fmt.Sprintf("%s/w%d", r.name, workers), func(t *testing.T) {
+				cfg := base
+				cfg.Workers = workers
+				cfg.Recorder = obs.NewRecorder()
+				tables, rep, err := r.run(t, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := phaseStat(rep, obs.PhaseMaterialize).Count; n != int64(tables) {
+					t.Fatalf("%d materializations for %d returned tables", n, tables)
+				}
+				if workers != 1 {
+					return
+				}
+				// The sample must exercise the speculative hits the
+				// engine skips (the walks are serial here, so each
+				// Samarati probe stops at its first hit).
+				switch r.name {
+				case "samarati":
+					if rep.Nodes.Satisfied < 2 {
+						t.Fatalf("Samarati had %d successful probes, want >= 2", rep.Nodes.Satisfied)
+					}
+				case "exhaustive":
+					if rep.Nodes.Satisfied <= int64(tables) {
+						t.Fatalf("Exhaustive: %d satisfying nodes, %d minimal", rep.Nodes.Satisfied, tables)
+					}
+				}
+			})
 		}
 	}
+}
+
+// phaseStat returns what rep recorded for phase p (zero if nothing).
+func phaseStat(rep *obs.Report, p obs.Phase) obs.PhaseStat {
+	for _, ps := range rep.Phases {
+		if ps.Phase == p.String() {
+			return ps
+		}
+	}
+	return obs.PhaseStat{}
 }
