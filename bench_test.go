@@ -8,6 +8,7 @@ package psk
 // evaluation. EXPERIMENTS.md records paper-vs-measured values.
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
@@ -944,6 +945,51 @@ func benchPerRow(b *testing.B, rows int, fn func() error) {
 	perRow := float64(b.N) * float64(rows)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perRow, "ns/row")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/perRow, "allocs/row")
+}
+
+// BenchmarkCSV measures the CSV codec, the two ends of a release, on
+// the scaled Adult shape (x2 ~100k rows, x20 ~1M rows; only x2 under
+// -short): Read parses the generator's CSV against the Adult schema,
+// Write renders the table into a reused buffer. Both report ns/row and
+// allocs/row; run with -cpu 1,2 to compare one parsing goroutine with
+// two.
+func BenchmarkCSV(b *testing.B) {
+	factors := []int{2, 20}
+	if testing.Short() {
+		factors = factors[:1]
+	}
+	schema := dataset.Schema()
+	for _, factor := range factors {
+		tbl, err := dataset.GenerateScaled(factor, 2006)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := tbl.WriteCSV(&out); err != nil {
+			b.Fatal(err)
+		}
+		in, rows := out.Bytes(), tbl.NumRows()
+		b.Run(fmt.Sprintf("Read/x%d", factor), func(b *testing.B) {
+			benchPerRow(b, rows, func() error {
+				got, err := table.ReadCSV(bytes.NewReader(in), &schema)
+				if err == nil && got.NumRows() != rows {
+					return fmt.Errorf("read %d rows, want %d", got.NumRows(), rows)
+				}
+				return err
+			})
+		})
+		b.Run(fmt.Sprintf("Write/x%d", factor), func(b *testing.B) {
+			buf := bytes.NewBuffer(make([]byte, 0, len(in)))
+			benchPerRow(b, rows, func() error {
+				buf.Reset()
+				err := tbl.WriteCSV(buf)
+				if err == nil && buf.Len() != len(in) {
+					return fmt.Errorf("wrote %d bytes, want %d", buf.Len(), len(in))
+				}
+				return err
+			})
+		})
+	}
 }
 
 // BenchmarkIncremental measures the streaming publisher against the

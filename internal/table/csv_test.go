@@ -25,8 +25,10 @@ const fuzzMixedHeader = "F, S ,N\n"
 // both build equal tables (values, dictionary codes and order). Failures
 // must agree in kind: a quote or field-count error of the oracle is the
 // same csv sentinel, or ErrArity, from ReadCSV, and any other error
-// (header, cell parse) has the same text. Seed corpus under
-// testdata/fuzz.
+// (header, cell parse) has the same text. The input is also read cut
+// into chunks of a size derived from it, by a worker count derived from
+// it, and must give ReadCSV's table or its error text. Seed corpus
+// under testdata/fuzz.
 func FuzzReadCSV(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in string) {
 		for _, tc := range []struct {
@@ -46,6 +48,14 @@ func FuzzReadCSV(f *testing.F) {
 			}
 			if wantErr == nil {
 				assertTablesEqual(t, got, want)
+			}
+			chunk, workers := 1+len(in)%7, 1+len(in)%3
+			chunked, chunkedErr := readCSV(strings.NewReader(tc.text), tc.schema, chunk, workers)
+			if (chunkedErr == nil) != (gotErr == nil) || chunkedErr != nil && chunkedErr.Error() != gotErr.Error() {
+				t.Fatalf("schema %v, input %q: chunk %d, workers %d: error %v, ReadCSV error %v", tc.schema, tc.text, chunk, workers, chunkedErr, gotErr)
+			}
+			if gotErr == nil {
+				assertTablesEqual(t, chunked, got)
 			}
 		}
 	})
@@ -71,7 +81,9 @@ func csvErrKind(err error) string {
 // from it (shared dictionaries with unused entries) and on the same
 // columns hidden behind a foreign Column type; and reads the output
 // back to the same table whenever every string cell survives ReadCSV's
-// trimming. Seed corpus under testdata/fuzz.
+// trimming. Each table is also written one and two rows per buffer by
+// two and three workers, byte for byte the same. Seed corpus under
+// testdata/fuzz.
 func FuzzWriteCSV(f *testing.F) {
 	sch := MustSchema(
 		Field{Name: "S", Type: String},
@@ -112,6 +124,15 @@ func FuzzWriteCSV(f *testing.F) {
 			}
 			if !bytes.Equal(got.Bytes(), want.Bytes()) {
 				t.Fatalf("WriteCSV output\n%q\nwant\n%q", got.Bytes(), want.Bytes())
+			}
+			for rows := 1; rows <= 2; rows++ {
+				var chunked bytes.Buffer
+				if err := tb.writeCSV(&chunked, rows, rows+1); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(chunked.Bytes(), want.Bytes()) {
+					t.Fatalf("WriteCSV at %d rows per buffer\n%q\nwant\n%q", rows, chunked.Bytes(), want.Bytes())
+				}
 			}
 		}
 		if !canonical {

@@ -69,7 +69,9 @@ func FromRows(schema Schema, rows [][]Value) (*Table, error) { return table.From
 func FromText(schema Schema, rows [][]string) (*Table, error) { return table.FromText(schema, rows) }
 
 // ReadCSV reads a CSV stream (header row required); a nil schema infers
-// all-string columns.
+// all-string columns. It parses ~1 MiB chunks of the stream on up to
+// runtime.GOMAXPROCS(0) goroutines; the table and any error are those of
+// a serial read.
 func ReadCSV(r io.Reader, schema *Schema) (*Table, error) { return table.ReadCSV(r, schema) }
 
 // ReadCSVFile reads a CSV file; see ReadCSV.
